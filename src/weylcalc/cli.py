@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .grothendieck import grothendieck_order, split_order_one
 from .laws import ACCEPTANCE_CONFIG, GenConfig, run_all, run_law
-from .operators import DiffOp
+from .operators import DiffOp, commutator
 from .parser import (
     ParseError,
     max_index,
@@ -62,7 +62,7 @@ def _cmd_comm(args: argparse.Namespace) -> int:
     )
     A = to_diffop(left_ast, n)
     B = to_diffop(right_ast, n)
-    print(A.compose(B) - B.compose(A))
+    print(commutator(A, B))
     return 0
 
 
@@ -159,10 +159,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _variable_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one variable, got {n}")
+    return n
+
+
 def _add_vars(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--vars",
-        type=int,
+        type=_variable_count,
         metavar="N",
         help="number of variables (default: largest index mentioned)",
     )

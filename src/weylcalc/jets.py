@@ -16,8 +16,9 @@ produced by the stages before it, rather than the raw table value.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .operators import DiffOp
 from .poly import MultiIndex, Poly, monomials_up_to

@@ -21,8 +21,10 @@ Sign convention: the commutator is [A, B] = A B - B A, and with it
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .poly import MultiIndex, Poly, Scalar, format_power_product, subindices
 
@@ -35,7 +37,8 @@ class DiffOp:
     """Differential operator sum of f_J * d^J, canonical normal form.
 
     terms maps each derivative multi-index J to its nonzero polynomial
-    coefficient f_J.  Treated as immutable.
+    coefficient f_J.  Treated as immutable.  The public constructors
+    validate their input; arithmetic results are built with _make.
     """
 
     __slots__ = ("n", "terms")
@@ -62,6 +65,14 @@ class DiffOp:
                     canon.pop(ix, None)
         self.n = n
         self.terms = canon
+
+    @classmethod
+    def _make(cls, n: int, terms: dict[MultiIndex, Poly]) -> "DiffOp":
+        """Unchecked constructor: terms maps length-n MultiIndex keys to nonzero Polys in n."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "DiffOp":
@@ -103,7 +114,7 @@ class DiffOp:
             raise TypeError(f"operators act on Poly, not {type(p).__name__}")
         if p.n != self.n:
             raise ValueError(f"operator in {self.n} variables applied to polynomial in {p.n}")
-        out = Poly.zero(self.n)
+        out = Poly._make(self.n, {})
         for J, f in self.terms.items():
             dp = p.derive(J)
             if dp:
@@ -137,14 +148,10 @@ class DiffOp:
                 merged[J] = acc
             else:
                 merged.pop(J, None)
-        out = DiffOp.zero(self.n)
-        out.terms = merged
-        return out
+        return DiffOp._make(self.n, merged)
 
     def __neg__(self) -> "DiffOp":
-        out = DiffOp.zero(self.n)
-        out.terms = {J: -f for J, f in self.terms.items()}
-        return out
+        return DiffOp._make(self.n, {J: -f for J, f in self.terms.items()})
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         if not isinstance(other, DiffOp):
@@ -154,10 +161,8 @@ class DiffOp:
     def scale(self, c: Scalar) -> "DiffOp":
         c = Fraction(c)
         if not c:
-            return DiffOp.zero(self.n)
-        out = DiffOp.zero(self.n)
-        out.terms = {J: f * c for J, f in self.terms.items()}
-        return out
+            return DiffOp._make(self.n, {})
+        return DiffOp._make(self.n, {J: f * c for J, f in self.terms.items()})
 
     def __mul__(self, other: "DiffOp | Scalar") -> "DiffOp":
         """Composition when other is an operator, scaling for a scalar."""
@@ -176,21 +181,21 @@ class DiffOp:
         """Normal form of self after other (self acting second)."""
         if other.n != self.n:
             raise ValueError(f"mixing operators in {self.n} and {other.n} variables")
+        make = MultiIndex._make
         acc: dict[MultiIndex, Poly] = {}
         for I, f in self.terms.items():
+            # (K, I - K, binom(I, K)) for every K <= I, shared by all terms of other
+            steps = [(K, make(map(sub, I, K)), math.prod(map(_binom, I, K))) for K in subindices(I)]
             for J, g in other.terms.items():
-                for K in subindices(I):
-                    dg = g.derive(I - K)
+                for K, rest, coeff in steps:
+                    dg = g.derive(rest)
                     if not dg:
                         continue
-                    coeff = 1
-                    for i_e, k_e in zip(I, K):
-                        coeff *= _binom(i_e, k_e)
                     piece = f * dg * coeff
-                    key = K + J
+                    key = make(map(add, K, J))
                     prev = acc.get(key)
                     acc[key] = piece if prev is None else prev + piece
-        return DiffOp(self.n, acc)
+        return DiffOp._make(self.n, {J: f for J, f in acc.items() if f})
 
     def __pow__(self, k: int) -> "DiffOp":
         if k < 0:

@@ -21,6 +21,7 @@ errors that have no single position carry offset None.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -259,22 +260,37 @@ def to_poly(node: Node, n: int) -> Poly:
 
 
 def to_diffop(node: Node, n: int) -> DiffOp:
-    if isinstance(node, Num):
-        return DiffOp.from_poly(Poly.const(n, node.value))
-    if isinstance(node, Var):
+    return _lift(_poly_or_diffop(node, n))
+
+
+def _lift(value: Poly | DiffOp) -> DiffOp:
+    return value if isinstance(value, DiffOp) else DiffOp.from_poly(value)
+
+
+# '*' is the product of polynomials and the composition of operators
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _poly_or_diffop(node: Node, n: int) -> Poly | DiffOp:
+    """Bottom-up: a d-free subtree stays a Poly; it is lifted where it meets a d.
+
+    The product of polynomials equals the composition of their
+    multiplication operators, so staying in Poly changes no result.
+    """
+    if isinstance(node, Var) and node.prefix == "d":
         _check_index(node, n)
-        if node.prefix == "t":
-            return DiffOp.from_poly(Poly.variable(n, node.index))
         return DiffOp.partial(n, node.index)
+    if isinstance(node, (Num, Var)):
+        return to_poly(node, n)
     if isinstance(node, Neg):
-        return to_diffop(node.inner, n).scale(-1)
+        return -_poly_or_diffop(node.inner, n)
     if isinstance(node, Pow):
-        return to_diffop(node.base, n) ** node.exponent
-    if isinstance(node, Add):
-        return to_diffop(node.left, n) + to_diffop(node.right, n)
-    if isinstance(node, Sub):
-        return to_diffop(node.left, n) - to_diffop(node.right, n)
-    return to_diffop(node.left, n).compose(to_diffop(node.right, n))
+        return _poly_or_diffop(node.base, n) ** node.exponent
+    left = _poly_or_diffop(node.left, n)
+    right = _poly_or_diffop(node.right, n)
+    if isinstance(left, DiffOp) or isinstance(right, DiffOp):
+        left, right = _lift(left), _lift(right)
+    return _BINARY[type(node)](left, right)
 
 
 def parse_operator(src: str, n: int | None = None) -> DiffOp:

@@ -14,9 +14,11 @@ through degrees.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -27,10 +29,15 @@ class MultiIndex(tuple):
     __slots__ = ()
 
     def __new__(cls, exponents: Iterable[int]) -> "MultiIndex":
-        ix = super().__new__(cls, tuple(int(e) for e in exponents))
-        if any(e < 0 for e in ix):
+        ix = super().__new__(cls, map(int, exponents))
+        if ix and min(ix) < 0:
             raise ValueError(f"negative exponent in multi-index {tuple(ix)}")
         return ix
+
+    @classmethod
+    def _make(cls, exponents: Iterable[int]) -> "MultiIndex":
+        """Unchecked constructor for entries known to be nonnegative ints."""
+        return tuple.__new__(cls, exponents)
 
     @classmethod
     def zero(cls, n: int) -> "MultiIndex":
@@ -61,11 +68,13 @@ class MultiIndex(tuple):
 
     def __add__(self, other: Sequence[int]) -> "MultiIndex":  # type: ignore[override]
         self._check_len(other)
-        return MultiIndex(a + b for a, b in zip(self, other))
+        if type(other) is MultiIndex:  # two valid indices have a valid sum
+            return MultiIndex._make(map(add, self, other))
+        return MultiIndex(map(add, self, other))
 
     def __sub__(self, other: Sequence[int]) -> "MultiIndex":
         self._check_len(other)
-        return MultiIndex(a - b for a, b in zip(self, other))
+        return MultiIndex(map(sub, self, other))
 
     def _check_len(self, other: Sequence[int]) -> None:
         if len(self) != len(other):
@@ -85,7 +94,7 @@ def _print_key(I: Sequence[int]) -> tuple:
 def subindices(I: MultiIndex) -> Iterator[MultiIndex]:
     """All K with 0 <= K <= I componentwise."""
     for k in product(*(range(e + 1) for e in I)):
-        yield MultiIndex(k)
+        yield MultiIndex._make(k)
 
 
 def format_power_product(I: Sequence[int], prefix: str) -> str:
@@ -103,6 +112,9 @@ class Poly:
     """Polynomial in t1..tn with Fraction coefficients, kept in canonical form.
 
     Instances are treated as immutable; all operations return new objects.
+    The public constructors validate and canonicalise their input; the
+    results of arithmetic are canonical by construction and are built
+    with _make.
     """
 
     __slots__ = ("n", "terms")
@@ -125,6 +137,14 @@ class Poly:
                     canon.pop(ix, None)
         self.n = n
         self.terms = canon
+
+    @classmethod
+    def _make(cls, n: int, terms: dict[MultiIndex, Fraction]) -> "Poly":
+        """Unchecked constructor: terms maps length-n MultiIndex keys to nonzero Fractions."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
@@ -170,16 +190,12 @@ class Poly:
                 merged[I] = acc
             else:
                 merged.pop(I, None)
-        out = Poly.zero(self.n)
-        out.terms = merged
-        return out
+        return Poly._make(self.n, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly.zero(self.n)
-        out.terms = {I: -c for I, c in self.terms.items()}
-        return out
+        return Poly._make(self.n, {I: -c for I, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + (-self._coerce(other))
@@ -190,23 +206,20 @@ class Poly:
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly.zero(self.n)
-            out = Poly.zero(self.n)
-            out.terms = {I: c * other for I, c in self.terms.items()}
-            return out
+                return Poly._make(self.n, {})
+            return Poly._make(self.n, {I: c * other for I, c in self.terms.items()})
         other = self._coerce(other)
+        make = MultiIndex._make
         acc: dict[MultiIndex, Fraction] = {}
         for I, c in self.terms.items():
             for J, d in other.terms.items():
-                K = I + J
+                K = make(map(add, I, J))
                 v = acc.get(K, _ZERO) + c * d
                 if v:
                     acc[K] = v
                 else:
                     acc.pop(K, None)
-        out = Poly.zero(self.n)
-        out.terms = acc
-        return out
+        return Poly._make(self.n, acc)
 
     __rmul__ = __mul__
 
@@ -236,17 +249,14 @@ class Poly:
         J = J if isinstance(J, MultiIndex) else MultiIndex(J)
         if len(J) != self.n:
             raise ValueError(f"derivative multi-index {tuple(J)} has length {len(J)}, expected {self.n}")
+        make = MultiIndex._make
         acc: dict[MultiIndex, Fraction] = {}
         for I, c in self.terms.items():
-            if not J.divides(I):
+            rest = make(map(sub, I, J))
+            if min(rest) < 0:  # J does not divide I
                 continue
-            fall = 1
-            for i_e, j_e in zip(I, J):
-                fall *= math.perm(i_e, j_e)
-            acc[I - J] = c * fall
-        out = Poly.zero(self.n)
-        out.terms = acc
-        return out
+            acc[rest] = c * math.prod(map(math.perm, I, J))
+        return Poly._make(self.n, acc)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.n:
@@ -359,6 +369,4 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
                     work.pop(K, None)
         else:
             rem[I] = c
-    out = Poly.zero(p.n)
-    out.terms = rem
-    return out
+    return Poly._make(p.n, rem)

@@ -18,8 +18,9 @@ operators.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .grothendieck import is_derivation
 from .operators import DiffOp

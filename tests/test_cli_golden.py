@@ -83,6 +83,21 @@ GOLDEN_CASES = [
         code=2,
         err="parse error at offset 1: variable index 3 exceeds the 2 available variables\n",
     ),
+    # --vars is checked by argparse: usage plus a one-line diagnostic, exit 2
+    dict(
+        args=["normalize", "t1", "--vars", "0"],
+        out="",
+        code=2,
+        err="usage: weylcalc normalize [-h] [--vars N] expr\n"
+        "weylcalc normalize: error: argument --vars: need at least one variable, got 0\n",
+    ),
+    dict(
+        args=["normalize", "d1", "--vars", "-2"],
+        out="",
+        code=2,
+        err="usage: weylcalc normalize [-h] [--vars N] expr\n"
+        "weylcalc normalize: error: argument --vars: need at least one variable, got -2\n",
+    ),
 ]
 
 

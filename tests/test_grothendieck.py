@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import weylcalc.grothendieck
 from weylcalc.grothendieck import (
     grothendieck_order,
     is_derivation,
@@ -10,6 +11,7 @@ from weylcalc.grothendieck import (
     split_order_one,
 )
 from weylcalc.operators import DiffOp, commutator
+from weylcalc.parser import parse_operator
 from weylcalc.poly import Poly
 
 
@@ -35,6 +37,16 @@ def diffops(draw, n=2, max_word=2, max_terms=3):
         J = tuple(draw(st.integers(0, max_word)) for _ in range(n))
         terms[J] = draw(polys(n=n))
     return DiffOp(n, terms)
+
+
+def reference_is_order_at_most(D, i):
+    """The definition walked literally: every ordered sequence of generators, n^i paths."""
+    if not D:
+        return True
+    gens = [DiffOp.from_poly(Poly.variable(D.n, j)) for j in range(1, D.n + 1)]
+    if i == 0:
+        return all(not commutator(D, m) for m in gens)
+    return all(reference_is_order_at_most(commutator(D, m), i - 1) for m in gens)
 
 
 def test_multiplications_have_order_zero():
@@ -123,3 +135,34 @@ def test_commuting_with_generators_reaches_all_multiplications(D, g):
     c = commutator(D, DiffOp.from_poly(g))
     if c.order is not None:
         assert c.order <= bound - 1
+
+
+@given(st.one_of(diffops(), diffops(n=3, max_word=1, max_terms=2)))
+def test_multiset_descent_agrees_with_the_reference(D):
+    top = (D.order or 0) + 1
+    for i in range(top + 1):
+        assert is_order_at_most(D, i) == reference_is_order_at_most(D, i), i
+
+
+def test_descent_visits_each_multiset_once(monkeypatch):
+    calls = []
+    inner = weylcalc.grothendieck.commutator
+
+    def counting(a, b):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(weylcalc.grothendieck, "commutator", counting)
+    D = parse_operator("t1*d2+t2*d3+t3*d1") ** 4
+    assert grothendieck_order(D) == 4
+    # one commutator per multiset of size L = 1..5 over 3 variables: C(L+2, L)
+    assert len(calls) == 55
+
+
+def test_disagreement_with_the_syntactic_order_raises(monkeypatch):
+    monkeypatch.setattr(weylcalc.grothendieck, "commutator", lambda a, b: DiffOp.zero(a.n))
+    with pytest.raises(AssertionError, match="disagrees with syntactic order 1"):
+        grothendieck_order(DiffOp.partial(2, 1))
+    monkeypatch.setattr(weylcalc.grothendieck, "commutator", lambda a, b: a)
+    with pytest.raises(AssertionError, match="no inductive order up to the syntactic order 1"):
+        grothendieck_order(DiffOp.partial(2, 1))

@@ -6,7 +6,13 @@ from hypothesis import given, strategies as st
 from weylcalc.jets import JetMap
 from weylcalc.operators import DiffOp
 from weylcalc.parser import (
+    Add,
+    Neg,
+    Num,
     ParseError,
+    Pow,
+    Sub,
+    Var,
     parse_ast,
     parse_jet_map,
     parse_operator,
@@ -104,6 +110,56 @@ def test_explicit_vars_bound_is_enforced():
         to_diffop(parse_ast("t2", {"t", "d"}), 1)
     assert err.value.offset == 1
     assert "exceeds the 1 available variables" in err.value.message
+
+
+def test_index_error_inside_a_d_free_subtree_keeps_its_offset():
+    with pytest.raises(ParseError) as err:
+        to_diffop(parse_ast("d1*(t1 + 2*t3^2)", {"t", "d"}), 2)
+    assert err.value.offset == 12
+    assert "exceeds the 2 available variables" in err.value.message
+
+
+def compose_all(node, n):
+    """Reference evaluation: every leaf an operator, every '*' a composition."""
+    if isinstance(node, Num):
+        return DiffOp.from_poly(Poly.const(n, node.value))
+    if isinstance(node, Var):
+        if node.prefix == "d":
+            return DiffOp.partial(n, node.index)
+        return DiffOp.from_poly(Poly.variable(n, node.index))
+    if isinstance(node, Neg):
+        return compose_all(node.inner, n).scale(-1)
+    if isinstance(node, Pow):
+        out = DiffOp.identity(n)
+        for _ in range(node.exponent):
+            out = out.compose(compose_all(node.base, n))
+        return out
+    left, right = compose_all(node.left, n), compose_all(node.right, n)
+    if isinstance(node, Add):
+        return left + right
+    if isinstance(node, Sub):
+        return left - right
+    return left.compose(right)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "(t1+1)^3*d1*(t2-1/2)*d2 - t3^2",
+        "-(t1*t2 - 3)^2*d3^2*t3 + d1*(t1 + 1/3)",
+        "t2*(d2 + t1)^2*(t2^2 - t1) + 5",
+        "(t1 - t1)*d1 + d2*(2*t2 - t2*2)",
+    ],
+)
+def test_mixed_expressions_match_composition_alone(src):
+    ast = parse_ast(src, {"t", "d"})
+    assert parse_operator(src, n=3) == compose_all(ast, 3)
+
+
+@given(polys())
+def test_d_free_input_is_a_multiplication(p):
+    src = str(p)
+    assert parse_operator(src, n=2) == DiffOp.from_poly(parse_poly(src, n=2))
 
 
 def test_polynomials_reject_derivative_names():
