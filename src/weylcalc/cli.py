@@ -16,6 +16,7 @@ from .laws import ACCEPTANCE_CONFIG, GenConfig, run_all, run_law
 from .operators import DiffOp, commutator
 from .parser import (
     ParseError,
+    check_xi_prefix,
     max_index,
     parse_ast,
     parse_jet_map,
@@ -169,6 +170,23 @@ def _variable_count(text: str) -> int:
     return n
 
 
+def _xi_prefix(text: str) -> str:
+    try:
+        return check_xi_prefix(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_xi_prefix(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--xi-prefix",
+        type=_xi_prefix,
+        default="x",
+        metavar="P",
+        help="prefix for the symbol variables: letters other than t (default: x)",
+    )
+
+
 def _add_vars(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--vars",
@@ -217,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("symbol", help="principal symbol at a grade")
     sub.add_argument("expr")
     sub.add_argument("--grade", type=int, help="grade (default: the operator's order)")
-    sub.add_argument("--xi-prefix", default="x", help="prefix for the symbol variables")
+    _add_xi_prefix(sub)
     _add_vars(sub)
     sub.set_defaults(handler=_cmd_symbol)
 
     sub = subs.add_parser("quantize", help="normal-ordered operator lift of a symbol")
     sub.add_argument("expr")
-    sub.add_argument("--xi-prefix", default="x", help="prefix for the symbol variables")
+    _add_xi_prefix(sub)
     _add_vars(sub)
     sub.set_defaults(handler=_cmd_quantize)
 

@@ -14,6 +14,13 @@ coefficients.  The rule follows by induction on I from d_i g = g d_i +
 (dg/dt_i) as operators.  Tests validate it against an independent
 apply-twice oracle.
 
+Coefficients are Polys, which hold integer numerators over one
+denominator.  Composition works on those integers directly: each
+operand is written over the lcm of its coefficient denominators, the
+Leibniz sum is accumulated as integer numerators per derivative word
+over the product of the two, and each word is reduced once.  apply
+stays built from Poly.derive, * and +, because it is the oracle.
+
 Sign convention: the commutator is [A, B] = A B - B A, and with it
 [d_i, t_j] = delta_ij (so [t_i, d_i] = -1).
 """
@@ -23,10 +30,10 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add, sub
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
-from .poly import MultiIndex, Poly, Scalar, format_power_product, subindices
+from .poly import MultiIndex, Poly, Scalar, _coefficient, format_power_product, subindices
 
 # Composition looks binomial coefficients up through this module-level name
 # so tests can substitute a broken one and watch the oracle law catch it.
@@ -114,7 +121,7 @@ class DiffOp:
             raise TypeError(f"operators act on Poly, not {type(p).__name__}")
         if p.n != self.n:
             raise ValueError(f"operator in {self.n} variables applied to polynomial in {p.n}")
-        out = Poly._make(self.n, {})
+        out = Poly._make(self.n, {}, 1)
         for J, f in self.terms.items():
             dp = p.derive(J)
             if dp:
@@ -159,7 +166,7 @@ class DiffOp:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "DiffOp":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return DiffOp._make(self.n, {})
         return DiffOp._make(self.n, {J: f * c for J, f in self.terms.items()})
@@ -178,24 +185,50 @@ class DiffOp:
         return NotImplemented
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal form of self after other (self acting second)."""
+        """Normal form of self after other (self acting second), as one integer loop.
+
+        Each term of the Leibniz sum is added into the numerators of its
+        derivative word over den_a * den_b; each word is reduced once.
+        """
         if other.n != self.n:
             raise ValueError(f"mixing operators in {self.n} and {other.n} variables")
-        make = MultiIndex._make
-        acc: dict[MultiIndex, Poly] = {}
-        for I, f in self.terms.items():
-            # (K, I - K, binom(I, K)) for every K <= I, shared by all terms of other
-            steps = [(K, make(map(sub, I, K)), math.prod(map(_binom, I, K))) for K in subindices(I)]
-            for J, g in other.terms.items():
-                for K, rest, coeff in steps:
-                    dg = g.derive(rest)
+        new = tuple.__new__
+        den_a, left = _over_common_denominator(self)
+        den_b, right = _over_common_denominator(other)
+        # per term of other: I - K -> the monomials and numerators of d^(I-K) g
+        derivatives: list[dict[MultiIndex, list[tuple[MultiIndex, int]]]] = [{} for _ in right]
+        acc: dict[MultiIndex, dict[MultiIndex, int]] = {}
+        for I, f in left:
+            for K in subindices(I):
+                rest = new(MultiIndex, map(sub, I, K))
+                coeff = math.prod(map(_binom, I, K))
+                scaled = [(M, coeff * c) for M, c in f.items()]
+                for (J, g), cache in zip(right, derivatives):
+                    dg = cache.get(rest)
+                    if dg is None:
+                        dg = cache[rest] = [
+                            (new(MultiIndex, map(sub, N, rest)), d * math.prod(map(math.perm, N, rest)))
+                            for N, d in g.items()
+                            if all(map(ge, N, rest))
+                        ]
                     if not dg:
                         continue
-                    piece = f * dg * coeff
-                    key = make(map(add, K, J))
-                    prev = acc.get(key)
-                    acc[key] = piece if prev is None else prev + piece
-        return DiffOp._make(self.n, {J: f for J, f in acc.items() if f})
+                    word = new(MultiIndex, map(add, K, J))
+                    out = acc.get(word)
+                    if out is None:
+                        out = acc[word] = {}
+                    get = out.get
+                    for M, c in scaled:
+                        for N, d in dg:
+                            key = new(MultiIndex, map(add, M, N))
+                            out[key] = get(key, 0) + c * d
+        den = den_a * den_b
+        terms: dict[MultiIndex, Poly] = {}
+        for word, num in acc.items():
+            num = {M: c for M, c in num.items() if c}
+            if num:
+                terms[word] = Poly._make(self.n, num, den)
+        return DiffOp._make(self.n, terms)
 
     def __pow__(self, k: int) -> "DiffOp":
         if k < 0:
@@ -229,6 +262,15 @@ class DiffOp:
 
     def __repr__(self) -> str:
         return f"DiffOp({self.n}: {self})"
+
+
+def _over_common_denominator(D: DiffOp) -> tuple[int, list[tuple[MultiIndex, dict[MultiIndex, int]]]]:
+    """(den, [(J, numerators of f_J over den)]) with den the lcm of the coefficient denominators."""
+    den = math.lcm(*(f._den for f in D.terms.values()))
+    return den, [
+        (J, f._num if f._den == den else {M: c * (den // f._den) for M, c in f._num.items()})
+        for J, f in D.terms.items()
+    ]
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -306,14 +306,20 @@ def parse_poly(src: str, n: int | None = None) -> Poly:
     return to_poly(ast, nn)
 
 
+def check_xi_prefix(prefix: str) -> str:
+    """The prefix of the symbol variables: letters other than t, so printed symbols parse back."""
+    if not prefix.isalpha() or prefix == "t":
+        raise ValueError(f"bad xi prefix {prefix!r}: need letters other than 't'")
+    return prefix
+
+
 def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> SymbolElem:
     """Symbol expression in t and xi variables, homogeneous in the xi's.
 
     Evaluated commutatively in a doubled polynomial ring, then split
     into grade and coefficients; inhomogeneous input is an error.
     """
-    if not xi_prefix.isalpha() or xi_prefix == "t":
-        raise ValueError(f"bad xi prefix {xi_prefix!r}")
+    check_xi_prefix(xi_prefix)
     ast = parse_ast(src, {"t", xi_prefix})
     if n is None:
         n = max(max_index(ast), 1)

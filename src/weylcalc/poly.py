@@ -1,9 +1,14 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-A polynomial in the variables t1, ..., tn is stored as a dict mapping
-exponent vectors (MultiIndex) to nonzero Fraction coefficients.  The
-empty dict is the zero polynomial.  Because the representation is
-canonical, equality of polynomials is equality of dicts.
+A polynomial in the variables t1, ..., tn is stored as integer
+numerators over one shared positive denominator: a dict mapping
+exponent vectors (MultiIndex) to nonzero ints, and an int den with no
+factor common to all of them.  The empty dict over den 1 is the zero
+polynomial.  Arithmetic is integer work followed by one gcd reduction,
+and Fraction appears only at the API boundary: constructors take int or
+Fraction coefficients and Poly.terms shows them as Fractions.  Because
+the representation is canonical, equality of polynomials is equality
+of the stored data.
 
 Monomial order is graded lexicographic throughout: compare total degree
 first, then exponent tuples lexicographically.  Printing and division
@@ -108,43 +113,66 @@ def format_power_product(I: Sequence[int], prefix: str) -> str:
     return "*".join(parts)
 
 
+def _coefficient(c: object) -> Scalar:
+    """A coefficient from outside the kernel: int or Fraction only, so no float slips in."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+
+
 class Poly:
-    """Polynomial in t1..tn with Fraction coefficients, kept in canonical form.
+    """Polynomial in t1..tn with rational coefficients, kept in canonical form.
+
+    The coefficients are integer numerators over one shared denominator:
+    _num maps length-n MultiIndex keys to nonzero ints and _den is a
+    positive int with gcd(_den, *_num.values()) == 1, so the zero
+    polynomial has _den == 1.  The form is unique, so equality is
+    equality of (n, _den, _num).  terms is the Fraction view of it.
 
     Instances are treated as immutable; all operations return new objects.
-    The public constructors validate and canonicalise their input; the
-    results of arithmetic are canonical by construction and are built
-    with _make.
+    The public constructors validate and canonicalise their input; every
+    arithmetic result is built with _make, which does the one gcd
+    reduction of the operation.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, terms: Mapping[Sequence[int], Scalar] | Iterable = ()):
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
-        canon: dict[MultiIndex, Fraction] = {}
+        canon: dict[MultiIndex, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for I, c in items:
             ix = I if isinstance(I, MultiIndex) else MultiIndex(I)
             if len(ix) != n:
                 raise ValueError(f"multi-index {tuple(ix)} has length {len(ix)}, expected {n}")
-            c = Fraction(c)
+            c = _coefficient(c)
             if c:
-                acc = canon.get(ix, _ZERO) + c
-                if acc:
-                    canon[ix] = acc
-                else:
-                    canon.pop(ix, None)
+                canon[ix] = canon.get(ix, 0) + c
         self.n = n
-        self.terms = canon
+        self._num, self._den = _integer_form(canon)
 
     @classmethod
-    def _make(cls, n: int, terms: dict[MultiIndex, Fraction]) -> "Poly":
-        """Unchecked constructor: terms maps length-n MultiIndex keys to nonzero Fractions."""
+    def _make(cls, n: int, num: dict[MultiIndex, int], den: int) -> "Poly":
+        """Unchecked constructor: num maps length-n MultiIndex keys to nonzero ints, den > 0.
+
+        Divides out the common factor of den and the numerators.
+        """
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {I: c // g for I, c in num.items()}
+            den //= g
         out = object.__new__(cls)
         out.n = n
-        out.terms = terms
+        out._num = num
+        out._den = den
         return out
+
+    @property
+    def terms(self) -> dict[MultiIndex, Fraction]:
+        """The nonzero coefficients as Fractions, built from the integer storage."""
+        den = self._den
+        return {I: Fraction(c, den) for I, c in self._num.items()}
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
@@ -152,7 +180,7 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, c: Scalar) -> "Poly":
-        return cls(n, {MultiIndex.zero(n): Fraction(c)})
+        return cls(n, {MultiIndex.zero(n): c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
@@ -161,65 +189,71 @@ class Poly:
 
     @classmethod
     def monomial(cls, n: int, I: Sequence[int], c: Scalar = 1) -> "Poly":
-        return cls(n, {MultiIndex(I): Fraction(c)})
+        return cls(n, {MultiIndex(I): c})
 
     @property
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial (which has no degree)."""
-        if not self.terms:
+        if not self._num:
             return None
-        return max(I.degree for I in self.terms)
+        return max(map(sum, self._num))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._den, frozenset(self._num.items())))
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        other = self._coerce(other)
-        merged = dict(self.terms)
-        for I, c in other.terms.items():
-            acc = merged.get(I, _ZERO) + c
-            if acc:
-                merged[I] = acc
-            else:
-                merged.pop(I, None)
-        return Poly._make(self.n, merged)
+        return self._combine(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.n, {I: -c for I, c in self.terms.items()})
+        return Poly._make(self.n, {I: -c for I, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self + (-self._coerce(other))
+        return self._combine(self._coerce(other), -1)
 
     def __rsub__(self, other: Scalar) -> "Poly":
         return self._coerce(other) - self
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        merged = dict(self._num) if sa == 1 else {I: c * sa for I, c in self._num.items()}
+        sb *= sign
+        get = merged.get
+        for I, c in other._num.items():
+            v = get(I, 0) + c * sb
+            if v:
+                merged[I] = v
+            else:
+                del merged[I]
+        return Poly._make(self.n, merged, da * sa)
+
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly._make(self.n, {})
-            return Poly._make(self.n, {I: c * other for I, c in self.terms.items()})
+                return Poly._make(self.n, {}, 1)
+            c = other.numerator
+            return Poly._make(self.n, {I: a * c for I, a in self._num.items()}, self._den * other.denominator)
         other = self._coerce(other)
-        make = MultiIndex._make
-        acc: dict[MultiIndex, Fraction] = {}
-        for I, c in self.terms.items():
-            for J, d in other.terms.items():
-                K = make(map(add, I, J))
-                v = acc.get(K, _ZERO) + c * d
-                if v:
-                    acc[K] = v
-                else:
-                    acc.pop(K, None)
-        return Poly._make(self.n, acc)
+        new = tuple.__new__
+        acc: dict[MultiIndex, int] = {}
+        get = acc.get
+        for I, c in self._num.items():
+            for J, d in other._num.items():
+                K = new(MultiIndex, map(add, I, J))
+                acc[K] = get(K, 0) + c * d
+        return Poly._make(self.n, {K: v for K, v in acc.items() if v}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -249,33 +283,33 @@ class Poly:
         J = J if isinstance(J, MultiIndex) else MultiIndex(J)
         if len(J) != self.n:
             raise ValueError(f"derivative multi-index {tuple(J)} has length {len(J)}, expected {self.n}")
-        make = MultiIndex._make
-        acc: dict[MultiIndex, Fraction] = {}
-        for I, c in self.terms.items():
-            rest = make(map(sub, I, J))
+        new = tuple.__new__
+        acc: dict[MultiIndex, int] = {}
+        for I, c in self._num.items():
+            rest = new(MultiIndex, map(sub, I, J))
             if min(rest) < 0:  # J does not divide I
                 continue
             acc[rest] = c * math.prod(map(math.perm, I, J))
-        return Poly._make(self.n, acc)
+        return Poly._make(self.n, acc, self._den)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
         xs = [Fraction(x) for x in point]
         total = _ZERO
-        for I, c in self.terms.items():
-            v = c
+        for I, c in self._num.items():
+            v = Fraction(c)
             for x, e in zip(xs, I):
                 v *= x**e
             total += v
-        return total
+        return total / self._den
 
     def leading(self) -> tuple[MultiIndex, Fraction]:
         """Leading term under graded-lex order; errors on the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading term")
-        I = max(self.terms, key=grlex_key)
-        return I, self.terms[I]
+        I = max(self._num, key=grlex_key)
+        return I, Fraction(self._num[I], self._den)
 
     def __str__(self) -> str:
         return render_terms(self.terms, "t")
@@ -285,6 +319,16 @@ class Poly:
 
 
 _ZERO = Fraction(0)
+
+
+def _integer_form(terms: Mapping[MultiIndex, Scalar]) -> tuple[dict[MultiIndex, int], int]:
+    """(numerators, denominator) of an int or Fraction term dict, zeros dropped, canonical.
+
+    Over the lcm of the reduced denominators, the numerators share no
+    factor with it, so no gcd reduction is needed.
+    """
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {I: c.numerator * (den // c.denominator) for I, c in terms.items() if c}, den
 
 
 def render_terms(terms: Mapping[MultiIndex, Fraction], prefix: str) -> str:
@@ -350,7 +394,8 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
     if p.n != g.n:
         raise ValueError(f"mixing polynomials in {p.n} and {g.n} variables")
     lead_g, cg = g.leading()
-    work = dict(p.terms)
+    g_terms = g.terms
+    work = p.terms
     rem: dict[MultiIndex, Fraction] = {}
     while work:
         I = max(work, key=grlex_key)
@@ -358,7 +403,7 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
         if lead_g.divides(I):
             shift = I - lead_g
             factor = c / cg
-            for J, d in g.terms.items():
+            for J, d in g_terms.items():
                 if J == lead_g:
                     continue
                 K = J + shift
@@ -369,4 +414,4 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
                     work.pop(K, None)
         else:
             rem[I] = c
-    return Poly._make(p.n, rem)
+    return Poly._make(p.n, *_integer_form(rem))

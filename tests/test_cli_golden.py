@@ -98,6 +98,43 @@ GOLDEN_CASES = [
         err="usage: weylcalc normalize [-h] [--vars N] expr\n"
         "weylcalc normalize: error: argument --vars: need at least one variable, got -2\n",
     ),
+    # --xi-prefix must print symbols that parse back: letters, and not t
+    dict(
+        args=["symbol", "t1*d1+d2", "--xi-prefix", "2"],
+        out="",
+        code=2,
+        err="usage: weylcalc symbol [-h] [--grade GRADE] [--xi-prefix P] [--vars N] expr\n"
+        "weylcalc symbol: error: argument --xi-prefix: bad xi prefix '2': need letters other than 't'\n",
+    ),
+    dict(
+        args=["symbol", "t1*d1+d2", "--xi-prefix", "t"],
+        out="",
+        code=2,
+        err="usage: weylcalc symbol [-h] [--grade GRADE] [--xi-prefix P] [--vars N] expr\n"
+        "weylcalc symbol: error: argument --xi-prefix: bad xi prefix 't': need letters other than 't'\n",
+    ),
+    dict(
+        args=["symbol", "t1*d1+d2", "--xi-prefix", "x y"],
+        out="",
+        code=2,
+        err="usage: weylcalc symbol [-h] [--grade GRADE] [--xi-prefix P] [--vars N] expr\n"
+        "weylcalc symbol: error: argument --xi-prefix: bad xi prefix 'x y': need letters other than 't'\n",
+    ),
+    dict(
+        args=["quantize", "t1*x1", "--xi-prefix", "2"],
+        out="",
+        code=2,
+        err="usage: weylcalc quantize [-h] [--xi-prefix P] [--vars N] expr\n"
+        "weylcalc quantize: error: argument --xi-prefix: bad xi prefix '2': need letters other than 't'\n",
+    ),
+    dict(
+        args=["quantize", "t1*t1", "--xi-prefix", "t"],
+        out="",
+        code=2,
+        err="usage: weylcalc quantize [-h] [--xi-prefix P] [--vars N] expr\n"
+        "weylcalc quantize: error: argument --xi-prefix: bad xi prefix 't': need letters other than 't'\n",
+    ),
+    dict(args=["quantize", "t1*xi1*xi2", "--xi-prefix", "xi"], out="(t1)*d1*d2\n"),
 ]
 
 

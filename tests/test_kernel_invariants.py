@@ -2,9 +2,13 @@
 
 Every key is a MultiIndex of the right length with no negative entry,
 no coefficient is zero, and rebuilding a result through its public
-constructor gives an equal object.
+constructor gives an equal object.  A Poly stores integer numerators
+over one positive denominator in lowest terms (den 1 for zero), and
+shows them as Fractions.  The public entry points take int or Fraction
+coefficients only.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from weylcalc.operators import DiffOp, commutator
 from weylcalc.poly import MultiIndex, Poly, reduce_by
+from weylcalc.symbols import SymbolElem
 
 
 def coeffs():
@@ -46,6 +51,11 @@ def assert_canonical_key(key, n):
 
 def assert_canonical_poly(p, n):
     assert type(p) is Poly and p.n == n
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c != 0 for c in p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert p._den == 1 or p._num
+    assert p.terms.keys() == p._num.keys()
     for I, c in p.terms.items():
         assert_canonical_key(I, n)
         assert type(c) is Fraction and c != 0
@@ -80,3 +90,36 @@ def test_subtraction_still_rejects_negative_entries():
         MultiIndex((1, 0)) - MultiIndex((0, 1))
     with pytest.raises(ValueError):
         MultiIndex((1, 0)) + (0, -1)
+
+
+def test_mixed_denominators_cancel_to_the_canonical_zero():
+    p = Poly(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(3, 4)})
+    q = Poly(2, {(1, 0): Fraction(-1, 6), (0, 1): Fraction(1, 4)})
+    assert_canonical_poly(p + q, 2)
+    assert (p + q)._den == 1 and (p + q).terms == {(0, 1): 1}
+    for zero in (p - p, p * 0, p + (-p), (p + q) - (p + q)):
+        assert_canonical_poly(zero, 2)
+        assert zero._den == 1 and not zero._num and zero == Poly.zero(2)
+
+
+INEXACT = [0.5, 1e-3, "1/2", None]
+ENTRY_POINTS = {
+    "Poly": lambda c: Poly(1, {(1,): c}),
+    "Poly.const": lambda c: Poly.const(1, c),
+    "Poly.monomial": lambda c: Poly.monomial(1, (1,), c),
+    "DiffOp": lambda c: DiffOp(1, {(1,): c}),
+    "DiffOp.scale": lambda c: DiffOp.partial(1, 1).scale(c),
+    "SymbolElem": lambda c: SymbolElem(1, 1, {(1,): c}),
+    "SymbolElem * c": lambda c: SymbolElem(1, 1, {(1,): 1}) * c,
+    "c * SymbolElem": lambda c: c * SymbolElem(1, 1, {(1,): 1}),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_take_int_or_fraction_only(entry):
+    build = ENTRY_POINTS[entry]
+    for c in INEXACT:
+        with pytest.raises(TypeError):
+            build(c)
+    assert build(2) == build(Fraction(4, 2))
+    assert build(Fraction(1, 2)) != build(1)

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from weylcalc.operators import DiffOp, commutator
-from weylcalc.poly import MultiIndex, Poly
+from weylcalc.poly import MultiIndex, Poly, subindices
 
 
 def coeffs():
@@ -160,3 +161,48 @@ def test_order_subadditive_general(A, B):
         assert oc is None
     else:
         assert oc == oa + ob  # no cancellation at the top over a domain
+
+
+def leibniz_compose(A, B):
+    """Test-only oracle: the generalized Leibniz rule in Poly arithmetic, term by term.
+
+    (f d^I)(g d^J) = sum over K <= I of binom(I, K) f d^(I-K)(g) d^(K+J),
+    with math.comb for the binomials and Poly.derive / * / + for the rest.
+    """
+    acc = {}
+    for I, f in A.terms.items():
+        for J, g in B.terms.items():
+            for K in subindices(I):
+                dg = g.derive(I - K)
+                if not dg:
+                    continue
+                piece = f * dg * math.prod(map(math.comb, I, K))
+                key = K + J
+                acc[key] = acc[key] + piece if key in acc else piece
+    return DiffOp(A.n, acc)
+
+
+def constant_ops():
+    return st.one_of(
+        st.just(DiffOp.zero(2)),
+        coeffs().map(lambda c: DiffOp.identity(2).scale(c)),
+        polys().map(DiffOp.from_poly),
+    )
+
+
+def any_ops():
+    return st.one_of(diffops(), diffops(max_word=3), constant_ops())
+
+
+@given(any_ops(), any_ops())
+def test_compose_matches_leibniz_oracle(A, B):
+    assert A.compose(B) == leibniz_compose(A, B)
+
+
+def test_leibniz_oracle_examples():
+    d1 = DiffOp.partial(2, 1)
+    m1 = DiffOp.from_poly(Poly(2, {(1, 0): Fraction(1, 2)}))
+    third = DiffOp(2, {(2, 0): Poly.const(2, Fraction(1, 3)), (0, 1): t(2)})
+    for A, B in [(d1, m1), (third, m1), (m1, third), (third, third), (DiffOp.zero(2), third)]:
+        assert A.compose(B) == leibniz_compose(A, B)
+    assert str(leibniz_compose(third, m1)) == str(third.compose(m1)) == "(1/6*t1)*d1^2 + (1/3)*d1 + (1/2*t1*t2)*d2"

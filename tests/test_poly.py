@@ -157,3 +157,79 @@ def test_division_membership(p, g):
     # the remainder differs from the input by a multiple of g
     r = reduce_by(p, g)
     assert reduce_by(p - r, g) == Poly.zero(2)
+
+
+# A dict-of-Fraction reference for the integer kernel: exponent tuples to
+# nonzero Fractions, one Fraction operation per term, nothing shared with
+# weylcalc.poly beyond reading the operands' terms.
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for I, c in b.items():
+        out[I] = out.get(I, 0) + sign * c
+    return {I: c for I, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for I, c in a.items():
+        for J, d in b.items():
+            K = tuple(i + j for i, j in zip(I, J))
+            out[K] = out.get(K, 0) + c * d
+    return {K: c for K, c in out.items() if c}
+
+
+def ref_derive(a, J):
+    out = {}
+    for I, c in a.items():
+        if all(i >= j for i, j in zip(I, J)):
+            factor = 1
+            for i, j in zip(I, J):
+                for k in range(j):
+                    factor *= i - k
+            out[tuple(i - j for i, j in zip(I, J))] = c * factor
+    return out
+
+
+def ref_scale(a, c):
+    return {I: v * c for I, v in a.items()} if c else {}
+
+
+@st.composite
+def poly_pairs(draw):
+    """(p, q) where q may cancel some or all of p, so sums can vanish."""
+    p, q = draw(polys()), draw(polys())
+    kept = {I: -c for I, c in p.terms.items() if draw(st.booleans())}
+    return p, Poly(2, ref_add(kept, q.terms)) if draw(st.booleans()) else Poly(2, kept)
+
+
+@given(poly_pairs(), coeffs(), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_kernel_matches_fraction_reference(pq, c, J):
+    p, q = pq
+    a, b = p.terms, q.terms
+    assert (p + q).terms == ref_add(a, b)
+    assert (p - q).terms == ref_add(a, b, -1)
+    assert (-p).terms == ref_scale(a, -1)
+    assert (p * q).terms == ref_mul(a, b)
+    assert p.derive(J).terms == ref_derive(a, J)
+    assert (p * c).terms == ref_scale(a, c)
+    assert (c * p).terms == ref_scale(a, c)
+    assert (p * int(c)).terms == ref_scale(a, int(c))
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs()), max_size=6))
+def test_constructor_sums_duplicates_like_the_reference(items):
+    want = {}
+    for I, c in items:
+        want = ref_add(want, {I: c})
+    assert Poly(2, items).terms == want
+
+
+def test_fraction_reference_examples():
+    half = Poly(1, {(1,): Fraction(1, 2)})
+    third = Poly(1, {(1,): Fraction(1, 3), (0,): Fraction(2, 3)})
+    assert (half + third).terms == {(1,): Fraction(5, 6), (0,): Fraction(2, 3)}
+    assert not (half - half)
+    assert (half * 2).terms == {(1,): 1}
+    assert (third - Poly(1, {(0,): Fraction(2, 3)})).terms == {(1,): Fraction(1, 3)}
