@@ -13,7 +13,27 @@ Grammar (whitespace insensitive):
 '*' means composition when operators are involved, so it is not
 commutative: d1*t1 normalizes to (t1)*d1 + 1.  Which prefixes are legal
 depends on what is being parsed: polynomials use t, operators t and d,
-symbols t and the xi prefix (x by default).
+symbols t and the xi prefix (x by default).  Numbers and indices are
+written in decimal digits; other numeric characters such as '²' are
+rejected.  Parentheses and unary minus nest at most MAX_NESTING deep.
+
+Text becomes a tree in two stages: one regular-expression scan into
+tokens, then recursive descent over the grammar.  Sum and product
+chains come out left-deep, so only nesting makes the descent recurse.
+
+One evaluator turns a tree into a polynomial, an operator or a symbol.
+Its values are sums of normal-ordered terms c * t^a * y^b, stored as a
+dict from the exponent vector (a, b) to c, where y is d for operators,
+the xi variables for symbols, and absent for polynomials.  A product
+chain is folded left to right into one such term: a number multiplies
+c, and an atom t_i^k or y_i^k adds k to its exponent.  For a right
+factor c * d^b that just shifts the words on its left,
+(f d^J)(c d^b) = c f d^(J+b).  Only where a t_i follows a d_i, or a
+compound factor meets the derivatives on its left, does the product
+need reordering, and there DiffOp.compose does it; symbols and
+polynomials commute and never reorder.  Sums and product chains are
+walked with an explicit stack, so a sum of any length needs no
+recursion.
 
 Errors carry the 1-based byte offset of the offending token; semantic
 errors that have no single position carry offset None.
@@ -21,15 +41,20 @@ errors that have no single position carry offset None.
 
 from __future__ import annotations
 
-import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Union
 
 from .jets import JetMap
 from .operators import DiffOp
 from .poly import MultiIndex, Poly
 from .symbols import SymbolElem
+
+# How deep parentheses and unary minus may nest; each level costs a few
+# Python frames in the parser, so this stays far below the recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -44,42 +69,42 @@ class ParseError(Exception):
         return f"parse error at offset {self.offset}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Num:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var:
     prefix: str
     index: int
     offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     inner: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pow:
     base: "Node"
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Add:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sub:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Mul:
     left: "Node"
     right: "Node"
@@ -87,134 +112,142 @@ class Mul:
 
 Node = Union[Num, Var, Neg, Pow, Add, Sub, Mul]
 
+# A token is (kind, text, offset, index): kind is "num", "var", "eof" or the
+# operator character itself, and index is the variable index (0 otherwise).
+Token = tuple[str, str, int, int]
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
-    index: int = 0
+# After optional whitespace, one of: decimal digits, a letter run with the
+# decimal digits after it, an operator, any other character, the end.  \d is
+# exactly what int() reads; the letter class also takes numeric characters
+# such as '²' and '½', which _variable rejects.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]+)(\d*)|([-+*^/()])|(.)|\Z)", re.DOTALL)
 
 
-def _tokenize(src: str, prefixes: frozenset[str]) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", src[i:j], i + 1))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and src[j].isalpha():
-                j += 1
-            word = src[i:j]
-            if word not in prefixes:
-                expected = ", ".join(sorted(prefixes))
-                raise ParseError(i + 1, f"unknown variable {word!r}; expected one of: {expected}")
-            k = j
-            while k < len(src) and src[k].isdigit():
-                k += 1
-            if k == j:
-                raise ParseError(i + 1, f"variable {word!r} needs a numeric index")
-            index = int(src[j:k])
-            if index < 1:
-                raise ParseError(i + 1, "variable index must be at least 1")
-            tokens.append(_Token("var", word, i + 1, index=index))
-            i = k
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token(ch, ch, i + 1))
-            i += 1
-            continue
-        raise ParseError(i + 1, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", len(src) + 1))
+def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
+    tokens: list[Token] = []
+    append = tokens.append
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        if group == 4:
+            append((m[4], m[4], m.end(), 0))
+        elif group == 1:
+            append(("num", m[1], m.start(1) + 1, 0))
+        elif group == 3:
+            append(_variable(m[2], m[3], m.start(2) + 1, prefixes))
+        elif group == 5:
+            raise ParseError(m.end(), f"unexpected character {m[5]!r}")
+    append(("eof", "", len(src) + 1, 0))
     return tokens
 
 
+def _variable(word: str, digits: str, offset: int, prefixes: frozenset[str]) -> Token:
+    stray = None
+    if not word.isalpha():  # the letters end at a numeric character such as '²'
+        cut = next(i for i, ch in enumerate(word) if not ch.isalpha())
+        stray = (offset + cut, word[cut])
+        word, digits = word[:cut], ""
+        if not word:
+            raise ParseError(stray[0], f"unexpected character {stray[1]!r}")
+    if word not in prefixes:
+        expected = ", ".join(sorted(prefixes))
+        raise ParseError(offset, f"unknown variable {word!r}; expected one of: {expected}")
+    if not digits:
+        if stray is not None and stray[1].isdigit():
+            raise ParseError(stray[0], f"unexpected character {stray[1]!r}")
+        raise ParseError(offset, f"variable {word!r} needs a numeric index")
+    index = int(digits)
+    if index < 1:
+        raise ParseError(offset, "variable index must be at least 1")
+    return ("var", word, offset, index)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.depth = 0
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(tok.offset, "unexpected trailing input")
+        kind, _, offset, _ = self.tokens[self.pos]
+        if kind != "eof":
+            raise ParseError(offset, "unexpected trailing input")
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+        tokens = self.tokens
+        while True:
+            kind = tokens[self.pos][0]
+            if kind == "+":
+                self.pos += 1
+                node = Add(node, self.term())
+            elif kind == "-":
+                self.pos += 1
+                node = Sub(node, self.term())
+            else:
+                return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
             node = Mul(node, self.factor())
         return node
 
     def factor(self) -> Node:
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.factor())
+        tok = self.tokens[self.pos]
+        if tok[0] == "-":
+            self.pos += 1
+            self.enter(tok)
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         node = self.primary()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "num":
-                raise ParseError(tok.offset, "expected a positive integer exponent")
-            self.advance()
-            exponent = int(tok.text)
-            if exponent < 1:
-                raise ParseError(tok.offset, "exponent must be at least 1")
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
+            exponent = self.positive("expected a positive integer exponent", "exponent must be at least 1")
             node = Pow(node, exponent)
         return node
 
     def primary(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "num":
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.peek()
-                if den.kind != "num":
-                    raise ParseError(den.offset, "expected a positive integer denominator")
-                self.advance()
-                if int(den.text) < 1:
-                    raise ParseError(den.offset, "denominator must be positive")
-                value = Fraction(int(tok.text), int(den.text))
-            return Num(value)
-        if tok.kind == "var":
-            return Var(tok.text, tok.index, tok.offset)
-        if tok.kind == "(":
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        kind, text, offset, index = tok
+        if kind == "num":
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
+                den = self.positive("expected a positive integer denominator", "denominator must be positive")
+                return Num(Fraction(int(text), den))
+            return Num(Fraction(int(text)))
+        if kind == "var":
+            return Var(text, index, offset)
+        if kind == "(":
+            self.enter(tok)
             node = self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError(closing.offset, "expected ')'")
-            self.advance()
+            kind, _, offset, _ = self.tokens[self.pos]
+            if kind != ")":
+                raise ParseError(offset, "expected ')'")
+            self.pos += 1
+            self.depth -= 1
             return node
-        raise ParseError(tok.offset, "expected a number, a variable, or '('")
+        raise ParseError(offset, "expected a number, a variable, or '('")
+
+    def positive(self, expected: str, too_small: str) -> int:
+        kind, text, offset, _ = self.tokens[self.pos]
+        if kind != "num":
+            raise ParseError(offset, expected)
+        self.pos += 1
+        value = int(text)
+        if value < 1:
+            raise ParseError(offset, too_small)
+        return value
+
+    def enter(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok[2], f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
 
 
 def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> Node:
@@ -223,74 +256,186 @@ def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> Node:
 
 def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> int:
     """Largest variable index in the tree (restricted to prefixes if given); 0 if none."""
-    if isinstance(node, Var):
-        if prefixes is not None and node.prefix not in prefixes:
-            return 0
-        return node.index
-    if isinstance(node, (Num,)):
-        return 0
-    if isinstance(node, (Neg, Pow)):
-        inner = node.inner if isinstance(node, Neg) else node.base
-        return max_index(inner, prefixes)
-    return max(max_index(node.left, prefixes), max_index(node.right, prefixes))
+    best = 0
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            if node.index > best and (prefixes is None or node.prefix in prefixes):
+                best = node.index
+        elif cls is Neg:
+            stack.append(node.inner)
+        elif cls is Pow:
+            stack.append(node.base)
+        elif cls is not Num:
+            stack.append(node.left)
+            stack.append(node.right)
+    return best
 
 
-def _check_index(node: Var, n: int) -> None:
-    if node.index > n:
-        raise ParseError(
-            node.offset, f"variable index {node.index} exceeds the {n} available variables"
-        )
+# A sum of normal-ordered terms: exponents of (t, y) -> nonzero int or Fraction
+Terms = dict[tuple[int, ...], Union[int, Fraction]]
+
+
+class _Evaluator:
+    """Evaluates a tree in t1..tn and y1..yn, y named by the prefix second.
+
+    second is None for polynomials, whose terms have n exponents; else
+    a term has 2n, with y_i in slot n+i.  reorder says that y_i = d_i
+    does not commute with t_i.
+    """
+
+    def __init__(self, n: int, second: str | None, reorder: bool):
+        self.n = n
+        self.second = second
+        self.width = n if second is None else 2 * n
+        self.reorder = reorder
+
+    def sum(self, node: Node) -> Terms:
+        acc: Terms = {}
+        get = acc.get
+        stack = [(node, 1)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, sign = pop()
+            cls = type(node)
+            if cls is Add:
+                push((node.right, sign))
+                push((node.left, sign))
+            elif cls is Sub:
+                push((node.right, -sign))
+                push((node.left, sign))
+            elif cls is Neg:
+                push((node.inner, -sign))
+            else:
+                for key, c in self.product(node, sign).items():
+                    prev = get(key)
+                    acc[key] = c if prev is None else prev + c
+        return {key: c for key, c in acc.items() if c}
+
+    def product(self, node: Node, c: int | Fraction) -> Terms:
+        """c times the product chain at node, folded left to right.
+
+        The factors seen so far are done * (c * t^a * y^b), with the
+        pending term's exponents in exps; atoms that need no reordering
+        go into the pending term.
+        """
+        n, width, reorder = self.n, self.width, self.reorder
+        exps = [0] * width
+        done: Terms | None = None
+        stack = [node]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            cls = type(node)
+            if cls is Mul:
+                push(node.right)
+                push(node.left)
+                continue
+            if cls is Neg:
+                c = -c
+                push(node.inner)
+                continue
+            k = 1
+            if cls is Pow and type(node.base) in _ATOMS:
+                node, k = node.base, node.exponent
+                cls = type(node)
+            if cls is Num:
+                value = node.value
+                if value.denominator == 1:
+                    value = value.numerator
+                if k != 1:
+                    value **= k
+                c = value if c == 1 else -value if c == -1 else c * value
+                continue
+            if cls is Var:
+                s = self.slot(node)
+                if not (reorder and s < n and exps[n + s]):
+                    exps[s] += k
+                    continue
+                unit = [0] * width
+                unit[s] = k
+                factor = {tuple(unit): 1}
+            elif cls is Pow:
+                factor = self.power(self.sum(node.base), node.exponent)
+            else:
+                factor = self.sum(node)
+            if c != 1 or any(exps):
+                done = self.mul(done, {tuple(exps): c} if c else {})
+                c, exps = 1, [0] * width
+            done = self.mul(done, factor)
+        return self.mul(done, {tuple(exps): c} if c else {})
+
+    def slot(self, var: Var) -> int:
+        if var.index > self.n:
+            raise ParseError(
+                var.offset, f"variable index {var.index} exceeds the {self.n} available variables"
+            )
+        if var.prefix == "t":
+            return var.index - 1
+        if var.prefix == self.second:
+            return self.n + var.index - 1
+        expected = "t" if self.second is None else ", ".join(sorted({"t", self.second}))
+        raise ParseError(var.offset, f"unknown variable {var.prefix!r}; expected one of: {expected}")
+
+    def mul(self, left: Terms | None, right: Terms) -> Terms:
+        """left * right; None stands for 1."""
+        if left is None:
+            return right
+        if self.reorder and self.reorders(left, right):
+            return _terms(self.diffop(left).compose(self.diffop(right)))
+        out: Terms = {}
+        get = out.get
+        for K, a in left.items():
+            for L, b in right.items():
+                key = tuple(map(add, K, L))
+                out[key] = get(key, 0) + a * b
+        return {key: c for key, c in out.items() if c}
+
+    def power(self, base: Terms, k: int) -> Terms:
+        out = base
+        for _ in range(k - 1):
+            out = self.mul(out, base)
+        return out
+
+    def reorders(self, left: Terms, right: Terms) -> bool:
+        """Does some d_i on the left meet a t_i on the right?"""
+        n = self.n
+        ts = {i for key in right for i in range(n) if key[i]}
+        return bool(ts) and any(key[n + i] for key in left for i in ts)
+
+    def diffop(self, terms: Terms) -> DiffOp:
+        n = self.n
+        return DiffOp(n, {J: Poly(n, f) for J, f in _split(terms, n).items()})
+
+
+_ATOMS = (Num, Var)
+
+
+def _split(terms: Terms, n: int) -> dict[tuple[int, ...], Terms]:
+    """Group (t, y) terms by their y exponents: y exponents -> {t exponents: c}."""
+    out: dict[tuple[int, ...], Terms] = {}
+    for key, c in terms.items():
+        word = key[n:]
+        f = out.get(word)
+        if f is None:
+            f = out[word] = {}
+        f[key[:n]] = c
+    return out
+
+
+def _terms(D: DiffOp) -> Terms:
+    return {(*T, *J): c for J, f in D.terms.items() for T, c in f.terms.items()}
 
 
 def to_poly(node: Node, n: int) -> Poly:
-    if isinstance(node, Num):
-        return Poly.const(n, node.value)
-    if isinstance(node, Var):
-        _check_index(node, n)
-        return Poly.variable(n, node.index)
-    if isinstance(node, Neg):
-        return -to_poly(node.inner, n)
-    if isinstance(node, Pow):
-        return to_poly(node.base, n) ** node.exponent
-    if isinstance(node, Add):
-        return to_poly(node.left, n) + to_poly(node.right, n)
-    if isinstance(node, Sub):
-        return to_poly(node.left, n) - to_poly(node.right, n)
-    return to_poly(node.left, n) * to_poly(node.right, n)
+    return Poly(n, _Evaluator(n, None, False).sum(node))
 
 
 def to_diffop(node: Node, n: int) -> DiffOp:
-    return _lift(_poly_or_diffop(node, n))
-
-
-def _lift(value: Poly | DiffOp) -> DiffOp:
-    return value if isinstance(value, DiffOp) else DiffOp.from_poly(value)
-
-
-# '*' is the product of polynomials and the composition of operators
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-def _poly_or_diffop(node: Node, n: int) -> Poly | DiffOp:
-    """Bottom-up: a d-free subtree stays a Poly; it is lifted where it meets a d.
-
-    The product of polynomials equals the composition of their
-    multiplication operators, so staying in Poly changes no result.
-    """
-    if isinstance(node, Var) and node.prefix == "d":
-        _check_index(node, n)
-        return DiffOp.partial(n, node.index)
-    if isinstance(node, (Num, Var)):
-        return to_poly(node, n)
-    if isinstance(node, Neg):
-        return -_poly_or_diffop(node.inner, n)
-    if isinstance(node, Pow):
-        return _poly_or_diffop(node.base, n) ** node.exponent
-    left = _poly_or_diffop(node.left, n)
-    right = _poly_or_diffop(node.right, n)
-    if isinstance(left, DiffOp) or isinstance(right, DiffOp):
-        left, right = _lift(left), _lift(right)
-    return _BINARY[type(node)](left, right)
+    evaluator = _Evaluator(n, "d", True)
+    return evaluator.diffop(evaluator.sum(node))
 
 
 def parse_operator(src: str, n: int | None = None) -> DiffOp:
@@ -316,50 +461,24 @@ def check_xi_prefix(prefix: str) -> str:
 def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> SymbolElem:
     """Symbol expression in t and xi variables, homogeneous in the xi's.
 
-    Evaluated commutatively in a doubled polynomial ring, then split
-    into grade and coefficients; inhomogeneous input is an error.
+    Evaluated commutatively in t and xi, then split into grade and
+    coefficients; inhomogeneous input is an error.
     """
     check_xi_prefix(xi_prefix)
     ast = parse_ast(src, {"t", xi_prefix})
     if n is None:
         n = max(max_index(ast), 1)
-    doubled = _to_doubled_poly(ast, n, xi_prefix)
-    if not doubled:
+    terms = _Evaluator(n, xi_prefix, False).sum(ast)
+    if not terms:
         return SymbolElem.zero(n, 0)
-    grades = {sum(I[n:]) for I in doubled.terms}
+    grades = {sum(key[n:]) for key in terms}
     if len(grades) > 1:
         lo, hi = min(grades), max(grades)
         raise ParseError(
             None,
             f"symbol mixes {xi_prefix}-degrees {lo} and {hi}; a symbol is homogeneous in {xi_prefix}",
         )
-    grade = grades.pop()
-    acc: dict[MultiIndex, Poly] = {}
-    for I, c in doubled.terms.items():
-        t_part, x_part = MultiIndex(I[:n]), MultiIndex(I[n:])
-        piece = Poly.monomial(n, t_part, c)
-        prev = acc.get(x_part)
-        acc[x_part] = piece if prev is None else prev + piece
-    return SymbolElem(n, grade, acc)
-
-
-def _to_doubled_poly(node: Node, n: int, xi_prefix: str) -> Poly:
-    """Evaluate in 2n commuting variables: t_i in slot i, xi_i in slot n+i."""
-    if isinstance(node, Num):
-        return Poly.const(2 * n, node.value)
-    if isinstance(node, Var):
-        _check_index(node, n)
-        slot = node.index if node.prefix == "t" else n + node.index
-        return Poly.variable(2 * n, slot)
-    if isinstance(node, Neg):
-        return -_to_doubled_poly(node.inner, n, xi_prefix)
-    if isinstance(node, Pow):
-        return _to_doubled_poly(node.base, n, xi_prefix) ** node.exponent
-    if isinstance(node, Add):
-        return _to_doubled_poly(node.left, n, xi_prefix) + _to_doubled_poly(node.right, n, xi_prefix)
-    if isinstance(node, Sub):
-        return _to_doubled_poly(node.left, n, xi_prefix) - _to_doubled_poly(node.right, n, xi_prefix)
-    return _to_doubled_poly(node.left, n, xi_prefix) * _to_doubled_poly(node.right, n, xi_prefix)
+    return SymbolElem(n, grades.pop(), {X: Poly(n, f) for X, f in _split(terms, n).items()})
 
 
 def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:

@@ -295,7 +295,7 @@ class Poly:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
-        xs = [Fraction(x) for x in point]
+        xs = [_coefficient(x) for x in point]
         total = _ZERO
         for I, c in self._num.items():
             v = Fraction(c)

@@ -135,6 +135,51 @@ GOLDEN_CASES = [
         "weylcalc quantize: error: argument --xi-prefix: bad xi prefix 't': need letters other than 't'\n",
     ),
     dict(args=["quantize", "t1*xi1*xi2", "--xi-prefix", "xi"], out="(t1)*d1*d2\n"),
+    # a long sum is evaluated without recursion
+    dict(id="normalize 1200 summands", args=["normalize", "+".join(["t1"] * 1200)], out="1200*t1\n"),
+    # parentheses and unary minus nest at most 100 deep
+    dict(id="normalize 100 parentheses", args=["normalize", "(" * 100 + "t1" + ")" * 100], out="t1\n"),
+    dict(
+        id="normalize 101 parentheses",
+        args=["normalize", "(" * 101 + "t1" + ")" * 101],
+        out="",
+        code=2,
+        err="parse error at offset 101: parentheses and unary minus nest deeper than 100 levels\n",
+    ),
+    dict(id="normalize 100 unary minus", args=["normalize", "t1*" + "-" * 100 + "d1"], out="(t1)*d1\n"),
+    dict(
+        id="normalize 101 unary minus",
+        args=["normalize", "t1*" + "-" * 101 + "d1"],
+        out="",
+        code=2,
+        err="parse error at offset 104: parentheses and unary minus nest deeper than 100 levels\n",
+    ),
+    # numbers and indices are decimal digits: int() must read them
+    dict(
+        args=["normalize", "t\u00b2"],
+        out="",
+        code=2,
+        err="parse error at offset 2: unexpected character '\u00b2'\n",
+    ),
+    dict(
+        args=["normalize", "\u00b3"],
+        out="",
+        code=2,
+        err="parse error at offset 1: unexpected character '\u00b3'\n",
+    ),
+    dict(
+        args=["normalize", "t1^\u00b2"],
+        out="",
+        code=2,
+        err="parse error at offset 4: unexpected character '\u00b2'\n",
+    ),
+    dict(args=["normalize", "\u0663*t1"], out="3*t1\n"),
+    dict(
+        args=["normalize", "\u00e91"],
+        out="",
+        code=2,
+        err="parse error at offset 1: unknown variable '\u00e9'; expected one of: d, t\n",
+    ),
 ]
 
 
@@ -159,7 +204,7 @@ def run_case(case, tmp_path):
         assert proc.stderr == "", f"{argv}: stderr {proc.stderr!r}"
 
 
-@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: " ".join(c["args"][:2]))
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.get("id") or " ".join(c["args"][:2]))
 def test_golden(case, tmp_path):
     run_case(case, tmp_path)
 

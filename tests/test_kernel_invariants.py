@@ -5,7 +5,7 @@ no coefficient is zero, and rebuilding a result through its public
 constructor gives an equal object.  A Poly stores integer numerators
 over one positive denominator in lowest terms (den 1 for zero), and
 shows them as Fractions.  The public entry points take int or Fraction
-coefficients only.
+coefficients only, and Poly.evaluate int or Fraction coordinates.
 """
 
 import math
@@ -112,6 +112,7 @@ ENTRY_POINTS = {
     "SymbolElem": lambda c: SymbolElem(1, 1, {(1,): c}),
     "SymbolElem * c": lambda c: SymbolElem(1, 1, {(1,): 1}) * c,
     "c * SymbolElem": lambda c: c * SymbolElem(1, 1, {(1,): 1}),
+    "Poly.evaluate": lambda c: Poly.variable(1, 1).evaluate((c,)),
 }
 
 
@@ -123,3 +124,4 @@ def test_entry_points_take_int_or_fraction_only(entry):
             build(c)
     assert build(2) == build(Fraction(4, 2))
     assert build(Fraction(1, 2)) != build(1)
+

@@ -1,24 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylcalc.jets import JetMap
 from weylcalc.operators import DiffOp
 from weylcalc.parser import (
+    MAX_NESTING,
     Add,
+    Mul,
     Neg,
     Num,
     ParseError,
     Pow,
     Sub,
     Var,
+    _tokenize,
+    max_index,
     parse_ast,
     parse_jet_map,
     parse_operator,
     parse_poly,
     parse_symbol,
     to_diffop,
+    to_poly,
 )
 from weylcalc.poly import Poly
 from weylcalc.symbols import SymbolElem
@@ -95,6 +101,14 @@ def test_inference_of_variable_count():
         ("t1 +", 5, "expected a number, a variable, or '('"),
         ("t1 ? 2", 4, "unexpected character '?'"),
         ("d", 1, "needs a numeric index"),
+        # numeric characters that int() cannot read
+        ("t²", 2, "unexpected character '²'"),
+        ("³", 1, "unexpected character '³'"),
+        ("t1^²", 4, "unexpected character '²'"),
+        ("t1²", 3, "unexpected character '²'"),
+        ("²1", 1, "unexpected character '²'"),
+        ("t½", 1, "variable 't' needs a numeric index"),
+        ("é1", 1, "unknown variable 'é'"),
     ],
 )
 def test_error_offsets(src, offset, fragment):
@@ -149,6 +163,7 @@ def compose_all(node, n):
         "-(t1*t2 - 3)^2*d3^2*t3 + d1*(t1 + 1/3)",
         "t2*(d2 + t1)^2*(t2^2 - t1) + 5",
         "(t1 - t1)*d1 + d2*(2*t2 - t2*2)",
+        "d1*t1^2*d2*t2*3 - d2*t1*2/3*d1",
     ],
 )
 def test_mixed_expressions_match_composition_alone(src):
@@ -165,6 +180,9 @@ def test_d_free_input_is_a_multiplication(p):
 def test_polynomials_reject_derivative_names():
     with pytest.raises(ParseError):
         parse_poly("d1")
+    with pytest.raises(ParseError, match="unknown variable 'd'; expected one of: t") as err:
+        to_poly(parse_ast("t1 + d1", {"t", "d"}), 1)
+    assert err.value.offset == 6
 
 
 def test_parse_symbol():
@@ -176,6 +194,8 @@ def test_parse_symbol():
         parse_symbol("x1^2 + x2")
     with pytest.raises(ValueError):
         parse_symbol("t1", xi_prefix="t")
+    # symbols commute, whatever their prefix
+    assert parse_symbol("d1*t1", xi_prefix="d") == parse_symbol("t1*x1")
 
 
 def test_operator_round_trip_examples():
@@ -241,3 +261,188 @@ def test_parse_jet_map_vars_override():
     assert A == JetMap.zero(2, 1)
     with pytest.raises(ParseError, match="does not match"):
         parse_jet_map("1,0 -> t1", 1, n=3)
+
+
+# -- the tokenizer against the character loop it replaced -------------------
+
+
+def reference_tokenize(src, prefixes):
+    """The parser's former character loop, kept as an independent reference.
+
+    Returns (kind, text, offset, index) tuples or raises ParseError.  It
+    reads digits with str.isdigit, so it also takes characters such as
+    '²' that int() rejects; the parser crashed on those.
+    """
+    tokens = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            tokens.append(("num", src[i:j], i + 1, 0))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(src) and src[j].isalpha():
+                j += 1
+            word = src[i:j]
+            if word not in prefixes:
+                expected = ", ".join(sorted(prefixes))
+                raise ParseError(i + 1, f"unknown variable {word!r}; expected one of: {expected}")
+            k = j
+            while k < len(src) and src[k].isdigit():
+                k += 1
+            if k == j:
+                raise ParseError(i + 1, f"variable {word!r} needs a numeric index")
+            index = int(src[j:k])
+            if index < 1:
+                raise ParseError(i + 1, "variable index must be at least 1")
+            tokens.append(("var", word, i + 1, index))
+            i = k
+            continue
+        if ch in "+-*^/()":
+            tokens.append((ch, ch, i + 1, 0))
+            i += 1
+            continue
+        raise ParseError(i + 1, f"unexpected character {ch!r}")
+    tokens.append(("eof", "", len(src) + 1, 0))
+    return tokens
+
+
+def outcome(tokenize, src, prefixes):
+    try:
+        return tokenize(src, prefixes)
+    except ParseError as exc:
+        return ("error", exc.offset, exc.message)
+
+
+def unreadable_digit(src):
+    """Offset of the first digit character int() cannot read, such as '²'; None if there is none.
+
+    The former loop read these as digits, so the parser either crashed
+    on them or reported some later error first; the tokenizer now stops
+    at them.  Without them the former loop never crashed.
+    """
+    return next((i + 1 for i, ch in enumerate(src) if ch.isdigit() and not ch.isdecimal()), None)
+
+
+# ASCII and non-ASCII letters, decimal digits of two scripts, superscripts,
+# a vulgar fraction, operators, whitespace of several kinds and strays
+ALPHABET = list("tdxé" "0123456789" "٣²³①½" "+-*^/()" " \t\n " "?_.")
+PREFIX_SETS = [frozenset({"t", "d"}), frozenset({"t"}), frozenset({"t", "x"})]
+
+
+def test_tokenizer_matches_the_character_loop_on_random_strings():
+    rng = random.Random(20240518)
+    compared = stopped = 0
+    for _ in range(4000):
+        src = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
+        prefixes = rng.choice(PREFIX_SETS)
+        bad = unreadable_digit(src)
+        if bad is None:
+            compared += 1
+            assert outcome(_tokenize, src, prefixes) == outcome(reference_tokenize, src, prefixes), src
+        else:
+            stopped += 1
+            with pytest.raises(ParseError) as err:
+                _tokenize(src, prefixes)
+            assert err.value.offset <= bad, src
+    assert compared > 2000 and stopped > 500
+
+
+# -- the evaluator against references that compose or multiply every node ----
+
+
+def poly_all(node, n):
+    """Reference polynomial evaluation: every node a Poly operation."""
+    if isinstance(node, Num):
+        return Poly.const(n, node.value)
+    if isinstance(node, Var):
+        return Poly.variable(n, node.index)
+    if isinstance(node, Neg):
+        return -poly_all(node.inner, n)
+    if isinstance(node, Pow):
+        return poly_all(node.base, n) ** node.exponent
+    left, right = poly_all(node.left, n), poly_all(node.right, n)
+    if isinstance(node, Add):
+        return left + right
+    if isinstance(node, Sub):
+        return left - right
+    return left * right
+
+
+def expressions(variables):
+    """Strings over the grammar: numbers, atoms in any order, powers, parentheses, minus, sums."""
+    atoms = st.one_of(
+        st.integers(0, 3).map(str),
+        st.sampled_from(["1/2", "3/4", "2/3"]),
+        st.sampled_from(variables),
+        st.tuples(st.sampled_from(variables), st.integers(1, 3)).map(lambda a: f"{a[0]}^{a[1]}"),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*", "*"]), inner).map("".join),
+            inner.map(lambda e: f"({e})"),
+            inner.map(lambda e: f"-{e}"),
+            st.tuples(inner, st.integers(1, 3)).map(lambda a: f"({a[0]})^{a[1]}"),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(["t1", "t2", "d1", "d2"]))
+def test_operators_match_composition_of_every_node(src):
+    assert parse_operator(src, n=2) == compose_all(parse_ast(src, {"t", "d"}), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(["t1", "t2"]))
+def test_polynomials_match_multiplication_of_every_node(src):
+    assert parse_poly(src, n=2) == poly_all(parse_ast(src, {"t"}), 2)
+
+
+def test_long_polynomial_round_trips():
+    rng = random.Random(5)
+    p = Poly(2, {(j % 71, j // 71): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for j in range(5000)})
+    assert len(p.terms) == 5000
+    assert parse_poly(str(p), 2) == p
+
+
+def test_long_operator_round_trips():
+    D = DiffOp(1, {(j,): Poly(1, {(j % 3,): j + 1}) for j in range(5000)})
+    assert parse_operator(str(D), 1) == D
+
+
+def test_max_index_walks_a_long_sum():
+    ast = parse_ast(" + ".join(f"t{j % 7 + 1}*d2" for j in range(5000)), {"t", "d"})
+    assert max_index(ast) == 7
+    assert max_index(ast, {"d"}) == 2
+
+
+@pytest.mark.parametrize(
+    "unit,close,levels",
+    [("(", ")", 1), ("-", "", 1), ("-(", ")", 2)],
+    ids=["parentheses", "unary minus", "both"],
+)
+def test_nesting_limit(unit, close, levels):
+    times = MAX_NESTING // levels
+    ok = unit * times + "d1" + close * times
+    assert parse_operator(ok, 1) == compose_all(parse_ast(ok, {"t", "d"}), 1)
+    deep = unit * times + "-d1" + close * times
+    with pytest.raises(ParseError) as err:
+        parse_operator(deep)
+    assert err.value.offset == MAX_NESTING + 1
+    assert f"deeper than {MAX_NESTING} levels" in err.value.message
+
+
+def test_nodes_keep_their_fields():
+    ast = parse_ast("-t1^2*3/4 - d2", {"t", "d"})
+    assert ast == Sub(Mul(Neg(Pow(Var("t", 1, 2), 2)), Num(Fraction(3, 4))), Var("d", 2, 13))
