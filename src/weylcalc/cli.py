@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 from .grothendieck import grothendieck_order, split_order_one
 from .laws import ACCEPTANCE_CONFIG, GenConfig, run_all, run_law
 from .operators import DiffOp, commutator
 from .parser import (
+    MAX_INDEX,
     ParseError,
     check_xi_prefix,
-    max_index,
     parse_ast,
     parse_jet_map,
     parse_symbol,
     to_diffop,
     to_poly,
+    variable_count,
 )
 from .symbols import principal_symbol, quantize
 from .jets import from_jet_map
@@ -32,39 +34,48 @@ def _fmt_order(order: int | None) -> str:
     return "-inf" if order is None else str(order)
 
 
+def _parse_shared(args: argparse.Namespace, *sources: tuple[str, str]) -> list:
+    """Evaluate each (kind, text) source, kind "operator" or "poly", in one shared n.
+
+    n is --vars if given, else the largest variable index in any source.
+    """
+    kinds = {"operator": ({"t", "d"}, to_diffop), "poly": ({"t"}, to_poly)}
+    trees = [(kind, parse_ast(text, kinds[kind][0])) for kind, text in sources]
+    n = variable_count(args.vars, *(tree for _, tree in trees))
+    return [kinds[kind][1](tree, n) for kind, tree in trees]
+
+
 def _operator_from(args: argparse.Namespace, src: str) -> DiffOp:
-    ast = parse_ast(src, {"t", "d"})
-    n = args.vars if args.vars is not None else max(max_index(ast), 1)
-    return to_diffop(ast, n)
+    return _parse_shared(args, ("operator", src))[0]
+
+
+def _print(text: Callable[[], str]) -> int:
+    """Print text(); a number too long for str() ends in one error line, not a traceback."""
+    try:
+        out = text()
+    except ValueError:  # the interpreter's limit on int to str conversion
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the result has a number longer than {limit} digits, too long to print", file=sys.stderr)
+        return 2
+    print(out)
+    return 0
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    print(_operator_from(args, args.expr))
-    return 0
+    D = _operator_from(args, args.expr)
+    return _print(lambda: str(D))
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
-    op_ast = parse_ast(args.expr, {"t", "d"})
-    poly_ast = parse_ast(args.poly, {"t"})
-    n = args.vars if args.vars is not None else max(
-        max_index(op_ast), max_index(poly_ast), 1
-    )
-    D = to_diffop(op_ast, n)
-    p = to_poly(poly_ast, n)
-    print(D.apply(p))
-    return 0
+    D, p = _parse_shared(args, ("operator", args.expr), ("poly", args.poly))
+    q = D.apply(p)
+    return _print(lambda: str(q))
 
 
 def _cmd_comm(args: argparse.Namespace) -> int:
-    left_ast = parse_ast(args.left, {"t", "d"})
-    right_ast = parse_ast(args.right, {"t", "d"})
-    n = args.vars if args.vars is not None else max(
-        max_index(left_ast), max_index(right_ast), 1
-    )
-    A = to_diffop(left_ast, n)
-    B = to_diffop(right_ast, n)
-    print(commutator(A, B))
-    return 0
+    A, B = _parse_shared(args, ("operator", args.left), ("operator", args.right))
+    C = commutator(A, B)
+    return _print(lambda: str(C))
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
@@ -84,8 +95,7 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(s.render(args.xi_prefix))
-    return 0
+    return _print(lambda: s.render(args.xi_prefix))
 
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
@@ -94,8 +104,8 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(quantize(s))
-    return 0
+    D = quantize(s)
+    return _print(lambda: str(D))
 
 
 def _cmd_split1(args: argparse.Namespace) -> int:
@@ -105,9 +115,7 @@ def _cmd_split1(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"X = {X}")
-    print(f"a = {a}")
-    return 0
+    return _print(lambda: f"X = {X}\na = {a}")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -122,8 +130,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(from_jet_map(table))
-    return 0
+    D = from_jet_map(table)
+    return _print(lambda: str(D))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -167,6 +175,8 @@ def _variable_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"need at least one variable, got {n}")
+    if n > MAX_INDEX:
+        raise argparse.ArgumentTypeError(f"at most {MAX_INDEX} variables, got {n}")
     return n
 
 

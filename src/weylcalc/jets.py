@@ -12,12 +12,15 @@ kills every monomial of degree below |I|, and kills the other
 monomials of degree |I|, but it does touch higher-degree monomials.
 So each stage interpolates the residual target, the part not already
 produced by the stages before it, rather than the raw table value.
+One stage covers all monomials of one degree, since their building
+blocks leave each other's monomials alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .operators import DiffOp
@@ -102,13 +105,17 @@ def restriction(D: DiffOp, k: int) -> JetMap:
 def from_jet_map(A: JetMap) -> DiffOp:
     """The unique operator of order <= k realizing the table.
 
-    Stages ascend through degrees; the stage for t^I interpolates the
-    residual A(t^I) - D_partial(t^I), which leaves the already-settled
-    lower and equal degrees untouched.
+    Stages ascend through degrees; the stage for degree d interpolates
+    the residual A(t^I) - D_partial(t^I) of every t^I of degree d, which
+    leaves the already-settled lower degrees untouched.  D_partial is
+    added to once per degree, not once per monomial.
     """
     D = DiffOp.zero(A.n)
-    for I in monomials_up_to(A.n, A.k):
-        residual = A.values[I] - D.apply(Poly.monomial(A.n, I))
-        if residual:
-            D = D + d_basis(residual, I)
+    for _, basis in groupby(monomials_up_to(A.n, A.k), key=sum):
+        stage = DiffOp.zero(A.n)
+        for I in basis:
+            residual = A.values[I] - D.apply(Poly.monomial(A.n, I))
+            if residual:
+                stage = stage + d_basis(residual, I)
+        D = D + stage
     return D

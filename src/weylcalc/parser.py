@@ -14,26 +14,25 @@ Grammar (whitespace insensitive):
 commutative: d1*t1 normalizes to (t1)*d1 + 1.  Which prefixes are legal
 depends on what is being parsed: polynomials use t, operators t and d,
 symbols t and the xi prefix (x by default).  Numbers and indices are
-written in decimal digits; other numeric characters such as '²' are
-rejected.  Parentheses and unary minus nest at most MAX_NESTING deep.
+written in decimal digits, at most MAX_DIGITS of them; other numeric
+characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
+parentheses and unary minus nest at most MAX_NESTING deep.
 
 Text becomes a tree in two stages: one regular-expression scan into
 tokens, then recursive descent over the grammar.  Sum and product
 chains come out left-deep, so only nesting makes the descent recurse.
 
 One evaluator turns a tree into a polynomial, an operator or a symbol.
-Its values are sums of normal-ordered terms c * t^a * y^b, stored as a
-dict from the exponent vector (a, b) to c, where y is d for operators,
-the xi variables for symbols, and absent for polynomials.  A product
-chain is folded left to right into one such term: a number multiplies
-c, and an atom t_i^k or y_i^k adds k to its exponent.  For a right
-factor c * d^b that just shifts the words on its left,
-(f d^J)(c d^b) = c f d^(J+b).  Only where a t_i follows a d_i, or a
-compound factor meets the derivatives on its left, does the product
-need reordering, and there DiffOp.compose does it; symbols and
-polynomials commute and never reorder.  Sums and product chains are
-walked with an explicit stack, so a sum of any length needs no
-recursion.
+Its values are sums of normal-ordered terms c * t^a * y^b, a dict from
+the exponents (a, b) to c: the keys of the Poly in 2n variables that
+stores an operator (y = d) or a symbol (y = the xi prefix); a
+polynomial has no y.  A product chain folds left to right into one
+term: a number multiplies c, an atom t_i^k or y_i^k adds k to its
+exponent, and a right factor c * d^b just shifts the words on its
+left.  Only where a t_i follows a d_i, or a compound factor meets the
+derivatives on its left, does DiffOp.compose reorder the product;
+symbols and polynomials commute.  Sums and product chains are walked
+with an explicit stack, so a sum of any length needs no recursion.
 
 Errors carry the 1-based byte offset of the offending token; semantic
 errors that have no single position carry offset None.
@@ -55,6 +54,11 @@ from .symbols import SymbolElem
 # How deep parentheses and unary minus may nest; each level costs a few
 # Python frames in the parser, so this stays far below the recursion limit.
 MAX_NESTING = 100
+# The longest number, in decimal digits: the interpreter's default limit on
+# int/str conversion, so every number that prints by default parses back.
+MAX_DIGITS = 4300
+# The largest variable index, and so the most variables an input can ask for.
+MAX_INDEX = 100
 
 
 class ParseError(Exception):
@@ -131,6 +135,7 @@ def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
         if group == 4:
             append((m[4], m[4], m.end(), 0))
         elif group == 1:
+            _check_length(m[1], m.start(1) + 1)
             append(("num", m[1], m.start(1) + 1, 0))
         elif group == 3:
             append(_variable(m[2], m[3], m.start(2) + 1, prefixes))
@@ -155,10 +160,18 @@ def _variable(word: str, digits: str, offset: int, prefixes: frozenset[str]) -> 
         if stray is not None and stray[1].isdigit():
             raise ParseError(stray[0], f"unexpected character {stray[1]!r}")
         raise ParseError(offset, f"variable {word!r} needs a numeric index")
+    _check_length(digits, offset + len(word))
     index = int(digits)
     if index < 1:
         raise ParseError(offset, "variable index must be at least 1")
+    if index > MAX_INDEX:
+        raise ParseError(offset, f"variable index {index} exceeds {MAX_INDEX}")
     return ("var", word, offset, index)
+
+
+def _check_length(digits: str, offset: int) -> None:
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(offset, f"number longer than {MAX_DIGITS} digits")
 
 
 class _Parser:
@@ -384,7 +397,9 @@ class _Evaluator:
         if left is None:
             return right
         if self.reorder and self.reorders(left, right):
-            return _terms(self.diffop(left).compose(self.diffop(right)))
+            n, width = self.n, self.width
+            star = DiffOp._make(n, Poly(width, left)).compose(DiffOp._make(n, Poly(width, right)))
+            return star.poly.terms
         out: Terms = {}
         get = out.get
         for K, a in left.items():
@@ -405,28 +420,8 @@ class _Evaluator:
         ts = {i for key in right for i in range(n) if key[i]}
         return bool(ts) and any(key[n + i] for key in left for i in ts)
 
-    def diffop(self, terms: Terms) -> DiffOp:
-        n = self.n
-        return DiffOp(n, {J: Poly(n, f) for J, f in _split(terms, n).items()})
-
 
 _ATOMS = (Num, Var)
-
-
-def _split(terms: Terms, n: int) -> dict[tuple[int, ...], Terms]:
-    """Group (t, y) terms by their y exponents: y exponents -> {t exponents: c}."""
-    out: dict[tuple[int, ...], Terms] = {}
-    for key, c in terms.items():
-        word = key[n:]
-        f = out.get(word)
-        if f is None:
-            f = out[word] = {}
-        f[key[:n]] = c
-    return out
-
-
-def _terms(D: DiffOp) -> Terms:
-    return {(*T, *J): c for J, f in D.terms.items() for T, c in f.terms.items()}
 
 
 def to_poly(node: Node, n: int) -> Poly:
@@ -434,21 +429,23 @@ def to_poly(node: Node, n: int) -> Poly:
 
 
 def to_diffop(node: Node, n: int) -> DiffOp:
-    evaluator = _Evaluator(n, "d", True)
-    return evaluator.diffop(evaluator.sum(node))
+    return DiffOp._make(n, Poly(2 * n, _Evaluator(n, "d", True).sum(node)))
+
+
+def variable_count(n: int | None, *trees: Node) -> int:
+    """n when given, else the largest variable index in the trees (at least 1)."""
+    return n if n is not None else max(1, *map(max_index, trees))
 
 
 def parse_operator(src: str, n: int | None = None) -> DiffOp:
     """Operator expression in t and d variables; n inferred as the max index."""
     ast = parse_ast(src, {"t", "d"})
-    nn = n if n is not None else max(max_index(ast), 1)
-    return to_diffop(ast, nn)
+    return to_diffop(ast, variable_count(n, ast))
 
 
 def parse_poly(src: str, n: int | None = None) -> Poly:
     ast = parse_ast(src, {"t"})
-    nn = n if n is not None else max(max_index(ast), 1)
-    return to_poly(ast, nn)
+    return to_poly(ast, variable_count(n, ast))
 
 
 def check_xi_prefix(prefix: str) -> str:
@@ -459,26 +456,19 @@ def check_xi_prefix(prefix: str) -> str:
 
 
 def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> SymbolElem:
-    """Symbol expression in t and xi variables, homogeneous in the xi's.
-
-    Evaluated commutatively in t and xi, then split into grade and
-    coefficients; inhomogeneous input is an error.
-    """
+    """Symbol expression in t and xi variables, homogeneous in the xi's (else an error)."""
     check_xi_prefix(xi_prefix)
     ast = parse_ast(src, {"t", xi_prefix})
-    if n is None:
-        n = max(max_index(ast), 1)
+    n = variable_count(n, ast)
     terms = _Evaluator(n, xi_prefix, False).sum(ast)
-    if not terms:
-        return SymbolElem.zero(n, 0)
-    grades = {sum(key[n:]) for key in terms}
+    grades = {sum(key[n:]) for key in terms} or {0}
     if len(grades) > 1:
         lo, hi = min(grades), max(grades)
         raise ParseError(
             None,
             f"symbol mixes {xi_prefix}-degrees {lo} and {hi}; a symbol is homogeneous in {xi_prefix}",
         )
-    return SymbolElem(n, grades.pop(), {X: Poly(n, f) for X, f in _split(terms, n).items()})
+    return SymbolElem._make(n, Poly(2 * n, terms), grades.pop())
 
 
 def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
@@ -506,6 +496,8 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
         if any(e < 0 for e in exps):
             raise ParseError(None, f"line {lineno}: negative exponent in {exps}")
         if width is None:
+            if len(exps) > MAX_INDEX:
+                raise ParseError(None, f"line {lineno}: index has {len(exps)} entries, more than {MAX_INDEX}")
             width = len(exps)
         elif len(exps) != width:
             raise ParseError(

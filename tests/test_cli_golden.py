@@ -180,6 +180,37 @@ GOLDEN_CASES = [
         code=2,
         err="parse error at offset 1: unknown variable '\u00e9'; expected one of: d, t\n",
     ),
+    # numbers past the interpreter's int/str limit: one error line, never a traceback
+    dict(
+        id="normalize 2^15000",
+        args=["normalize", "2^15000"],
+        out="",
+        code=2,
+        err="error: the result has a number longer than 4300 digits, too long to print\n",
+    ),
+    dict(
+        id="normalize 5000-digit literal",
+        args=["normalize", "7" * 5000 + "*t1"],
+        out="",
+        code=2,
+        err="parse error at offset 1: number longer than 4300 digits\n",
+    ),
+    # variable indices and --vars stop at 100
+    dict(
+        id="normalize t101",
+        args=["normalize", "t101"],
+        out="",
+        code=2,
+        err="parse error at offset 1: variable index 101 exceeds 100\n",
+    ),
+    dict(
+        id="normalize --vars 101",
+        args=["normalize", "t1", "--vars", "101"],
+        out="",
+        code=2,
+        err="usage: weylcalc normalize [-h] [--vars N] expr\n"
+        "weylcalc normalize: error: argument --vars: at most 100 variables, got 101\n",
+    ),
 ]
 
 

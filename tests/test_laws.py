@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import weylcalc.laws
 import weylcalc.operators
 from weylcalc.laws import (
     ACCEPTANCE_CONFIG,
@@ -159,3 +160,13 @@ def test_acceptance_config_is_the_documented_scale():
     assert ACCEPTANCE_CONFIG.max_coeff_degree == 3
     assert ACCEPTANCE_CONFIG.coeff_bound == 5
     assert ACCEPTANCE_CONFIG.trials == 100
+
+
+def test_weyl_relations_draw_a_new_instance_each_trial(monkeypatch):
+    # a commutator that forgets its second half breaks [d_i, m_f] = m_{df/dt_i}
+    # and [m_f, m_g] = 0 on every trial, and each counterexample names its own f
+    monkeypatch.setattr(weylcalc.laws, "commutator", lambda a, b: a.compose(b))
+    report = run_law("weyl-relations", GenConfig(n=3, trials=20, seed=5))
+    assert report.failure_count == 20
+    drawn = {line.split(": ", 1)[1].split(";")[0] for line in report.failures}
+    assert len(drawn) == MAX_COUNTEREXAMPLES

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from weylcalc.jets import JetMap
 from weylcalc.operators import DiffOp
 from weylcalc.parser import (
+    MAX_DIGITS,
+    MAX_INDEX,
     MAX_NESTING,
     Add,
     Mul,
@@ -117,6 +119,23 @@ def test_error_offsets(src, offset, fragment):
     assert err.value.offset == offset
     assert fragment in err.value.message
     assert f"at offset {offset}" in str(err.value)
+
+
+def test_numbers_and_indices_are_bounded():
+    longest = "9" * MAX_DIGITS
+    assert str(parse_poly(f"{longest}*t1 + 1/{longest}")).startswith(longest)
+    too_long = "3" * (MAX_DIGITS + 1)
+    for src, offset in [(too_long, 1), (f"t1 + 2^{too_long}", 8), (f"t{too_long}", 2)]:
+        with pytest.raises(ParseError, match=f"number longer than {MAX_DIGITS} digits") as err:
+            parse_operator(src)
+        assert err.value.offset == offset
+    assert parse_operator(f"d{MAX_INDEX}").n == MAX_INDEX
+    with pytest.raises(ParseError, match=f"variable index {MAX_INDEX + 1} exceeds {MAX_INDEX}") as err:
+        parse_operator(f"t1*d{MAX_INDEX + 1}")
+    assert err.value.offset == 4
+    wide = ",".join(["0"] * (MAX_INDEX + 1))
+    with pytest.raises(ParseError, match=f"more than {MAX_INDEX}"):
+        parse_jet_map(f"{wide} -> 1\n", 0)
 
 
 def test_explicit_vars_bound_is_enforced():
@@ -303,6 +322,8 @@ def reference_tokenize(src, prefixes):
             index = int(src[j:k])
             if index < 1:
                 raise ParseError(i + 1, "variable index must be at least 1")
+            if index > MAX_INDEX:
+                raise ParseError(i + 1, f"variable index {index} exceeds {MAX_INDEX}")
             tokens.append(("var", word, i + 1, index))
             i = k
             continue

@@ -105,6 +105,8 @@ def test_quantize():
     assert D.order == 2
     assert principal_symbol(D, 2) == s
     assert quantize(SymbolElem.zero(2, 3)) == DiffOp.zero(2)
+    # the same stored data, but a symbol is never an operator
+    assert s != D and D != s and SymbolElem.zero(2, 0) != DiffOp.zero(2)
 
 
 def test_rendering():
