@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 
 from .grothendieck import grothendieck_order, split_order_one
-from .laws import ACCEPTANCE_CONFIG, GenConfig, run_all, run_law
 from .operators import DiffOp, commutator
 from .parser import (
     MAX_INDEX,
@@ -135,6 +133,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # the law harness is imported here, so that no other command loads it
+    from dataclasses import replace
+
+    from .laws import ACCEPTANCE_CONFIG, GenConfig, run_all, run_law
+
     if args.ci and args.seed is None:
         print("error: --ci requires an explicit --seed", file=sys.stderr)
         return 2

@@ -18,10 +18,9 @@ blocks leave each other's monomials alone.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Sequence
 
 from .operators import DiffOp
 from .poly import MultiIndex, Poly, monomials_up_to

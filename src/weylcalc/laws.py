@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .grothendieck import grothendieck_order, is_derivation, split_order_one
 from .jets import JetMap, from_jet_map, restriction
@@ -67,8 +67,8 @@ class IdealSpec:
     """An ideal to test membership against: principal (g) or a point's vanishing ideal."""
 
     kind: str
-    generator: Optional[Poly] = None
-    point: Optional[tuple[Fraction, ...]] = None
+    generator: Poly | None = None
+    point: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "principal":
@@ -397,7 +397,7 @@ def _law_weyl_relations(cfg: GenConfig, rng: random.Random, trial: int) -> str |
     return None
 
 
-LawFn = Callable[[GenConfig, random.Random, int], Optional[str]]
+LawFn = Callable[[GenConfig, random.Random, int], str | None]
 
 LAWS: dict[str, LawFn] = {
     "compose-oracle": _law_compose_oracle,

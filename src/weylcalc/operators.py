@@ -30,10 +30,9 @@ Sign convention: the commutator is [A, B] = A B - B A, and with it
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add, ge, sub
-from typing import Iterable, Sequence
 
 from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, format_power_product, subindices
 

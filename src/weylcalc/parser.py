@@ -16,11 +16,17 @@ depends on what is being parsed: polynomials use t, operators t and d,
 symbols t and the xi prefix (x by default).  Numbers and indices are
 written in decimal digits, at most MAX_DIGITS of them; other numeric
 characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
-parentheses and unary minus nest at most MAX_NESTING deep.
+parentheses and unary minus nest at most MAX_NESTING deep.  Exponents
+go up to MAX_EXPONENT, and a power whose estimated size (terms times
+coefficient bits) is over MAX_POWER_BITS is refused before it is
+expanded.  A jet table's basis holds at most MAX_JET_BASIS monomials.
 
 Text becomes a tree in two stages: one regular-expression scan into
 tokens, then recursive descent over the grammar.  Sum and product
 chains come out left-deep, so only nesting makes the descent recurse.
+The tree nodes (Num, Var, Neg, Pow, Add, Sub, Mul) are plain slotted
+classes that compare, print and refuse hashing as dataclasses would;
+they are not dataclasses, so that importing the parser stays cheap.
 
 One evaluator turns a tree into a polynomial, an operator or a symbol.
 Its values are sums of normal-ordered terms c * t^a * y^b, a dict from
@@ -41,10 +47,9 @@ errors that have no single position carry offset None.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm, prod
 from operator import add
-from typing import Optional, Union
 
 from .jets import JetMap
 from .operators import DiffOp
@@ -59,10 +64,18 @@ MAX_NESTING = 100
 MAX_DIGITS = 4300
 # The largest variable index, and so the most variables an input can ask for.
 MAX_INDEX = 100
+# The largest exponent, refused as soon as it is read.
+MAX_EXPONENT = 100_000
+# The most bits a power may be estimated to hold, terms times coefficient
+# bits; a larger power is refused before it is computed.
+MAX_POWER_BITS = 2**20
+# The most monomials a jet table's basis may have: C(n+K, K) in n variables
+# at degree K.
+MAX_JET_BASIS = 300
 
 
 class ParseError(Exception):
-    def __init__(self, offset: Optional[int], message: str):
+    def __init__(self, offset: int | None, message: str):
         super().__init__(offset, message)
         self.offset = offset
         self.message = message
@@ -73,48 +86,80 @@ class ParseError(Exception):
         return f"parse error at offset {self.offset}: {self.message}"
 
 
-@dataclass(slots=True)
-class Num:
-    value: Fraction
+class _Node:
+    """A tree node: slotted, equal to a node of the same class with equal
+    fields, unhashable, and shown as Class(field=value, ...)."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        names = self.__slots__
+        return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(slots=True)
-class Var:
-    prefix: str
-    index: int
-    offset: int
+class Num(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
-@dataclass(slots=True)
-class Neg:
-    inner: "Node"
+class Var(_Node):
+    __slots__ = ("prefix", "index", "offset")
+
+    def __init__(self, prefix: str, index: int, offset: int):
+        self.prefix = prefix
+        self.index = index
+        self.offset = offset
 
 
-@dataclass(slots=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Neg(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Node):
+        self.inner = inner
 
 
-@dataclass(slots=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
 
-@dataclass(slots=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+class Add(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+class Sub(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        self.left = left
+        self.right = right
 
 
-Node = Union[Num, Var, Neg, Pow, Add, Sub, Mul]
+class Mul(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Node, right: Node):
+        self.left = left
+        self.right = right
+
+
+Node = Num | Var | Neg | Pow | Add | Sub | Mul
 
 # A token is (kind, text, offset, index): kind is "num", "var", "eof" or the
 # operator character itself, and index is the variable index (0 otherwise).
@@ -220,7 +265,10 @@ class _Parser:
         node = self.primary()
         if self.tokens[self.pos][0] == "^":
             self.pos += 1
+            offset = self.tokens[self.pos][2]
             exponent = self.positive("expected a positive integer exponent", "exponent must be at least 1")
+            if exponent > MAX_EXPONENT:
+                raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
             node = Pow(node, exponent)
         return node
 
@@ -288,7 +336,7 @@ def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> 
 
 
 # A sum of normal-ordered terms: exponents of (t, y) -> nonzero int or Fraction
-Terms = dict[tuple[int, ...], Union[int, Fraction]]
+Terms = dict[tuple[int, ...], int | Fraction]
 
 
 class _Evaluator:
@@ -359,6 +407,7 @@ class _Evaluator:
                 if value.denominator == 1:
                     value = value.numerator
                 if k != 1:
+                    _check_power(k, 1, _coefficient_bits([value]))
                     value **= k
                 c = value if c == 1 else -value if c == -1 else c * value
                 continue
@@ -409,10 +458,27 @@ class _Evaluator:
         return {key: c for key, c in out.items() if c}
 
     def power(self, base: Terms, k: int) -> Terms:
+        if base:
+            _check_power(k, self.power_terms(base, k), _coefficient_bits(base.values()))
         out = base
         for _ in range(k - 1):
             out = self.mul(out, base)
         return out
+
+    def power_terms(self, base: Terms, k: int) -> int:
+        """An upper bound on the terms of base^k.
+
+        At most the monomials of degree k*D in the variables base uses (D
+        its degree) and the box of k times their largest exponents; where
+        no d_i meets a t_i, also at most the multisets of k terms of base.
+        """
+        highs = [max(column) for column in zip(*base)]
+        used = sum(1 for h in highs if h)
+        bound = min(comb(used + k * max(map(sum, base)), used), prod(k * h + 1 for h in highs))
+        n = self.n
+        if not (self.reorder and any(highs[i] and highs[n + i] for i in range(n))):
+            bound = min(bound, comb(len(base) + k - 1, k))
+        return bound
 
     def reorders(self, left: Terms, right: Terms) -> bool:
         """Does some d_i on the left meet a t_i on the right?"""
@@ -422,6 +488,24 @@ class _Evaluator:
 
 
 _ATOMS = (Num, Var)
+
+
+def _coefficient_bits(values) -> int:
+    """Bits of the sum of |c| over the common denominator, plus the denominator's.
+
+    A k-th power's coefficients have at most k times as many, leaving
+    out what reordering d_i past t_i adds.
+    """
+    den = lcm(*(c.denominator for c in values))
+    return (sum(map(abs, values)) * den).numerator.bit_length() + den.bit_length()
+
+
+def _check_power(k: int, terms: int, bits: int) -> None:
+    if terms * k * bits > MAX_POWER_BITS:
+        raise ParseError(
+            None,
+            f"the power ^{k} is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
+        )
 
 
 def to_poly(node: Node, n: int) -> Poly:
@@ -512,6 +596,10 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
         n = width
     elif width is not None and width != n:
         raise ParseError(None, f"index width {width} does not match the requested {n} variables")
+    if comb(n + degree, degree) > MAX_JET_BASIS:
+        raise ParseError(
+            None, f"a table of degree {degree} in {n} variables has more than {MAX_JET_BASIS} monomials"
+        )
     values: dict[MultiIndex, Poly] = {}
     for lineno, exps, rhs in entries:
         if sum(exps) > degree:

@@ -19,13 +19,12 @@ through degrees.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class MultiIndex(tuple):

@@ -15,9 +15,8 @@ principal_symbol, meaningful only up to lower-order operators.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .grothendieck import is_derivation
 from .operators import DiffOp, _NormalForm

@@ -211,6 +211,38 @@ GOLDEN_CASES = [
         err="usage: weylcalc normalize [-h] [--vars N] expr\n"
         "weylcalc normalize: error: argument --vars: at most 100 variables, got 101\n",
     ),
+    # powers and jet tables have a budget, checked before the work is done
+    dict(
+        id="normalize 2^10000000000",
+        args=["normalize", "2^10000000000"],
+        out="",
+        code=2,
+        err="parse error at offset 3: exponent larger than 100000\n",
+    ),
+    dict(
+        id="normalize (t1+1)^100000",
+        args=["normalize", "(t1+1)^100000"],
+        out="",
+        code=2,
+        err="error: the power ^100000 is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(
+        id="normalize (t1+t2+t3+d1+d2+d3)^40",
+        args=["normalize", "(t1+t2+t3+d1+d2+d3)^40"],
+        out="",
+        code=2,
+        err="error: the power ^40 is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(
+        id="construct --degree 100",
+        args=["construct", "--map", "{MAP}", "--degree", "100"],
+        map_text="1,0 -> t2\n",
+        out="",
+        code=2,
+        err="error: a table of degree 100 in 2 variables has more than 300 monomials\n",
+    ),
 ]
 
 

@@ -8,8 +8,11 @@ from weylcalc.jets import JetMap
 from weylcalc.operators import DiffOp
 from weylcalc.parser import (
     MAX_DIGITS,
+    MAX_EXPONENT,
     MAX_INDEX,
+    MAX_JET_BASIS,
     MAX_NESTING,
+    MAX_POWER_BITS,
     Add,
     Mul,
     Neg,
@@ -136,6 +139,40 @@ def test_numbers_and_indices_are_bounded():
     wide = ",".join(["0"] * (MAX_INDEX + 1))
     with pytest.raises(ParseError, match=f"more than {MAX_INDEX}"):
         parse_jet_map(f"{wide} -> 1\n", 0)
+
+
+def test_powers_are_bounded():
+    # an exponent is refused as soon as it is read
+    with pytest.raises(ParseError, match=f"exponent larger than {MAX_EXPONENT}") as err:
+        parse_operator(f"t1 + 2^{MAX_EXPONENT + 1}")
+    assert err.value.offset == 8
+    # a power whose estimated size is over the budget is refused before it is computed
+    too_large = f"too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
+    for src in ["(t1+t2+t3+d1+d2+d3)^40", "(t1+1)^100000", "(d1+t1)^200", "123456789^50000", "(-123/457)^99999"]:
+        with pytest.raises(ParseError, match=too_large) as err:
+            parse_operator(src)
+        assert err.value.offset is None
+    with pytest.raises(ParseError, match=too_large):
+        parse_poly("(t1+t2+t3+t4)^300")
+    with pytest.raises(ParseError, match=too_large):
+        parse_symbol("(t1+x1)^2000")
+    # within the budget a power is the repeated product
+    field = DiffOp(2, {(1, 0): t(1) + 1, (0, 1): t(2), (0, 0): Poly.const(2, Fraction(1, 2))})
+    assert parse_operator("((t1+1)*d1 + t2*d2 + 1/2)^6") == field**6
+    assert parse_poly("(t1-2*t2)^20") == (t(1) - 2 * t(2)) ** 20
+    assert len(parse_operator("(t1+t2+t3+d1+d2+d3)^10").terms) == 286
+    # a single monomial or a constant has one term at any exponent
+    assert parse_poly(f"(t1*t2*t3*t4*t5*t6)^{MAX_EXPONENT}") == Poly.monomial(6, [MAX_EXPONENT] * 6)
+    assert parse_poly(f"2^15000*(1/2)^15000") == Poly.const(1, 1)
+
+
+def test_jet_tables_are_bounded():
+    with pytest.raises(ParseError, match=f"degree 100 in 2 variables has more than {MAX_JET_BASIS} monomials"):
+        parse_jet_map("1,0 -> t2\n", 100)
+    with pytest.raises(ParseError, match=f"more than {MAX_JET_BASIS} monomials"):
+        parse_jet_map("0 -> t1\n", 10**4000)
+    # the largest basis within the budget: C(2+22, 22) = 276 monomials
+    assert len(parse_jet_map("1,0 -> t2\n", 22).values) == 276
 
 
 def test_explicit_vars_bound_is_enforced():
@@ -467,3 +504,21 @@ def test_nesting_limit(unit, close, levels):
 def test_nodes_keep_their_fields():
     ast = parse_ast("-t1^2*3/4 - d2", {"t", "d"})
     assert ast == Sub(Mul(Neg(Pow(Var("t", 1, 2), 2)), Num(Fraction(3, 4))), Var("d", 2, 13))
+
+
+def test_nodes_compare_and_print_like_dataclasses():
+    a, b = Var("t", 1, 1), Num(Fraction(2))
+    assert Add(a, b) == Add(Var("t", 1, 1), Num(Fraction(2)))
+    # equality is strict about the class, whatever the fields
+    assert Add(a, b) != Sub(a, b) and Sub(a, b) != Mul(a, b) and Add(a, b) != Add(b, a)
+    assert Num(Fraction(2)) != Fraction(2)
+    for node in (a, b, Neg(a), Pow(a, 2), Add(a, b), Sub(a, b), Mul(a, b)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(node)
+        with pytest.raises(AttributeError):
+            node.extra = 1  # slotted: no fields but the declared ones
+    assert repr(Var("t", 1, 2)) == "Var(prefix='t', index=1, offset=2)"
+    assert repr(Sub(Neg(Pow(a, 2)), b)) == (
+        "Sub(left=Neg(inner=Pow(base=Var(prefix='t', index=1, offset=1), exponent=2)), "
+        "right=Num(value=Fraction(2, 1)))"
+    )
