@@ -6,24 +6,28 @@ values to those monomials is realized by exactly one such operator.
 JetMap records such an assignment; from_jet_map reconstructs the
 operator; restriction tabulates an existing operator.
 
-The reconstruction walks the monomial basis in ascending degree.  The
-single-term operator d_basis(f, I) = (f / I!) d^I sends t^I to f,
-kills every monomial of degree below |I|, and kills the other
-monomials of degree |I|, but it does touch higher-degree monomials.
-So each stage interpolates the residual target, the part not already
-produced by the stages before it, rather than the raw table value.
-One stage covers all monomials of one degree, since their building
-blocks leave each other's monomials alone.
+The reconstruction is in closed form.  D = sum of f_J d^J sends t^I to
+sum over J <= I of f_J * I!/(I-J)! * t^(I-J); writing g_J = J! f_J,
+that is A(t^I) = sum over J <= I of binom(I, J) t^(I-J) g_J, which
+binomial inversion solves for g:
+
+    f_J = (1/J!) * sum over K <= J of (-1)^|J-K| binom(J, K) t^(J-K) A(t^K)
+
+with J! and binom(J, K) the products of the componentwise factorials
+and binomial coefficients.  Every f_J is read off the table directly;
+no operator is applied.  restriction, in contrast, applies D to each
+monomial, so the two directions stay independent of each other.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import groupby
+from operator import add, sub
 
 from .operators import DiffOp
-from .poly import MultiIndex, Poly, monomials_up_to
+from .poly import MultiIndex, Poly, monomials_up_to, subindices
 
 
 class JetMap:
@@ -102,19 +106,37 @@ def restriction(D: DiffOp, k: int) -> JetMap:
 
 
 def from_jet_map(A: JetMap) -> DiffOp:
-    """The unique operator of order <= k realizing the table.
+    """The unique operator of order <= k realizing the table, in closed form.
 
-    Stages ascend through degrees; the stage for degree d interpolates
-    the residual A(t^I) - D_partial(t^I) of every t^I of degree d, which
-    leaves the already-settled lower degrees untouched.  D_partial is
-    added to once per degree, not once per monomial.
+    Every coefficient is put over lcm(table denominators) * k!: J!
+    divides |J|!, which divides k!, so (k!/J!) * (-1)^|J-K| * binom(J, K)
+    is an integer.  The terms go into one integer dict keyed by
+    (t exponents, word), reduced once.
     """
-    D = DiffOp.zero(A.n)
-    for _, basis in groupby(monomials_up_to(A.n, A.k), key=sum):
-        stage = DiffOp.zero(A.n)
-        for I in basis:
-            residual = A.values[I] - D.apply(Poly.monomial(A.n, I))
-            if residual:
-                stage = stage + d_basis(residual, I)
-        D = D + stage
-    return D
+    n = A.n
+    values = [(I, p) for I, p in A.values.items() if p]
+    den = math.lcm(*(p._den for _, p in values))
+    top = math.factorial(A.k)
+    # K -> the numerators of A(t^K) over den, each key padded with a zero word
+    table = {
+        K: [((*M, *(0,) * n), c * (den // p._den)) for M, c in p._num.items()]
+        for K, p in values
+    }
+    new = tuple.__new__
+    acc: dict[MultiIndex, int] = {}
+    get = acc.get
+    for J in A.values:
+        scale = top // J.factorial
+        for K in subindices(J):
+            column = table.get(K)
+            if column is None:
+                continue
+            shift = (*map(sub, J, K), *J)
+            coeff = scale * math.prod(map(math.comb, J, K))
+            if (J.degree - K.degree) % 2:
+                coeff = -coeff
+            for M, c in column:
+                key = new(MultiIndex, map(add, M, shift))
+                acc[key] = get(key, 0) + c * coeff
+    num = {key: c for key, c in acc.items() if c}
+    return DiffOp._make(n, Poly._make(2 * n, num, den * top))

@@ -15,6 +15,7 @@ MAX_COUNTEREXAMPLES per law.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 from collections.abc import Callable
@@ -24,6 +25,7 @@ from fractions import Fraction
 from .grothendieck import grothendieck_order, is_derivation, split_order_one
 from .jets import JetMap, from_jet_map, restriction
 from .operators import DiffOp, commutator
+from .parser import MAX_JET_BASIS
 from .poly import MultiIndex, Poly, monomials_up_to, reduce_by
 from .symbols import SymbolElem, principal_symbol, quantize, symbol_mul
 
@@ -32,7 +34,12 @@ MAX_COUNTEREXAMPLES = 5
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Bounds for the random instance generators."""
+    """Bounds for the random instance generators.
+
+    max_order is bounded like a jet table's degree: the monomials of
+    degree <= max_order in n variables number at most MAX_JET_BASIS, so
+    the jet laws, which tabulate an operator on all of them, stay small.
+    """
 
     n: int = 2
     max_order: int = 2
@@ -46,6 +53,12 @@ class GenConfig:
             raise ValueError(f"n must be in 1..3, got {self.n}")
         if self.max_order < 0:
             raise ValueError(f"max_order must be nonnegative, got {self.max_order}")
+        basis = math.comb(self.n + self.max_order, self.n)
+        if basis > MAX_JET_BASIS:
+            raise ValueError(
+                f"max_order {self.max_order} in {self.n} variables gives a jet basis of "
+                f"{basis} monomials, more than {MAX_JET_BASIS}"
+            )
         if self.max_coeff_degree < 0:
             raise ValueError(f"max_coeff_degree must be nonnegative, got {self.max_coeff_degree}")
         if self.coeff_bound < 1:

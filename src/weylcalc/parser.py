@@ -17,7 +17,8 @@ symbols t and the xi prefix (x by default).  Numbers and indices are
 written in decimal digits, at most MAX_DIGITS of them; other numeric
 characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
 parentheses and unary minus nest at most MAX_NESTING deep.  Exponents
-go up to MAX_EXPONENT, and a power whose estimated size (terms times
+go up to MAX_EXPONENT, and a power, or a product that reorders
+derivatives past multiplications, whose estimated size (terms times
 coefficient bits) is over MAX_POWER_BITS is refused before it is
 expanded.  A jet table's basis holds at most MAX_JET_BASIS monomials.
 
@@ -47,9 +48,10 @@ errors that have no single position carry offset None.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm, prod
-from operator import add
+from operator import add, sub
 
 from .jets import JetMap
 from .operators import DiffOp
@@ -66,8 +68,9 @@ MAX_DIGITS = 4300
 MAX_INDEX = 100
 # The largest exponent, refused as soon as it is read.
 MAX_EXPONENT = 100_000
-# The most bits a power may be estimated to hold, terms times coefficient
-# bits; a larger power is refused before it is computed.
+# The most bits a power, or a product that reorders d_i past t_i, may be
+# estimated to hold, terms times coefficient bits; a larger one is refused
+# before it is computed.
 MAX_POWER_BITS = 2**20
 # The most monomials a jet table's basis may have: C(n+K, K) in n variables
 # at degree K.
@@ -441,11 +444,17 @@ class _Evaluator:
         expected = "t" if self.second is None else ", ".join(sorted({"t", self.second}))
         raise ParseError(var.offset, f"unknown variable {var.prefix!r}; expected one of: {expected}")
 
-    def mul(self, left: Terms | None, right: Terms) -> Terms:
-        """left * right; None stands for 1."""
+    def mul(self, left: Terms | None, right: Terms, budget: bool = True) -> Terms:
+        """left * right; None stands for 1.
+
+        A product that reorders is checked against the size budget first,
+        unless budget is False (the steps of a power, budgeted as a whole).
+        """
         if left is None:
             return right
         if self.reorder and self.reorders(left, right):
+            if budget:
+                self.check_product(left, right)
             n, width = self.n, self.width
             star = DiffOp._make(n, Poly(width, left)).compose(DiffOp._make(n, Poly(width, right)))
             return star.poly.terms
@@ -462,7 +471,7 @@ class _Evaluator:
             _check_power(k, self.power_terms(base, k), _coefficient_bits(base.values()))
         out = base
         for _ in range(k - 1):
-            out = self.mul(out, base)
+            out = self.mul(out, base, False)
         return out
 
     def power_terms(self, base: Terms, k: int) -> int:
@@ -480,6 +489,59 @@ class _Evaluator:
             bound = min(bound, comb(len(base) + k - 1, k))
         return bound
 
+    def check_product(self, left: Terms, right: Terms) -> None:
+        """Refuse a reordering product whose estimated size is over MAX_POWER_BITS.
+
+        The terms are at most those DiffOp.compose works out: a left word
+        d^X meeting a right t^S gives one for each K <= X, S, so the
+        product over i of min(X_i, S_i) + 1.  Where that is over the
+        budget, product_terms counts the possible results instead.  The
+        sum over K of binom(X_i, K_i) * perm(S_i, K_i) is at most
+        (1 + S_i)^X_i and (1 + X_i)^S_i, which bounds what reordering adds
+        to the coefficient bits.
+        """
+        n = self.n
+        words = Counter(key[n:] for key in left)
+        powers = Counter(key[:n] for key in right)
+        work = grow = 0
+        for X, a in words.items():
+            for S, b in powers.items():
+                work += a * b * prod(min(x, s) + 1 for x, s in zip(X, S))
+                grow = max(grow, sum(min(x * (s + 1).bit_length(), s * (x + 1).bit_length()) for x, s in zip(X, S)))
+        bits = _coefficient_bits(left.values()) + _coefficient_bits(right.values()) + grow
+        cap = MAX_POWER_BITS // bits + 1
+        if work >= cap and self.product_terms(left, right, cap) >= cap:
+            raise ParseError(
+                None,
+                f"the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
+            )
+
+    def product_terms(self, left: Terms, right: Terms, cap: int) -> int:
+        """An upper bound on the terms of the reordered product, or cap if that is less.
+
+        t^T d^X times t^S d^Y gives terms t^A d^B with A = T + S - K and
+        B = X + Y - K, so |A| - |B| = (|T| - |X|) + (|S| - |Y|), |A| and
+        |B| stay within the largest t- and d-degrees of the factors
+        added, and |A| + |B| within their largest total degrees added.
+        The bound counts the monomials of each degree pair (|A|, |B|)
+        allowed, in the t and d variables the factors use.
+        """
+        n = self.n
+        (tl, dl, sl, gaps_l), (tr, dr, sr, gaps_r) = _degree_shape(left, n), _degree_shape(right, n)
+        keys = (*left, *right)
+        used_t = sum(1 for i in range(n) if any(key[i] for key in keys))
+        used_d = sum(1 for i in range(n, 2 * n) if any(key[i] for key in keys))
+        count = 0
+        for gap in {a + b for a in gaps_l for b in gaps_r}:
+            for a in range(max(gap, 0), tl + tr + 1):
+                b = a - gap
+                if b > dl + dr or a + b > sl + sr:
+                    break
+                count += _monomials(a, used_t) * _monomials(b, used_d)
+                if count >= cap:
+                    return cap
+        return count
+
     def reorders(self, left: Terms, right: Terms) -> bool:
         """Does some d_i on the left meet a t_i on the right?"""
         n = self.n
@@ -488,6 +550,20 @@ class _Evaluator:
 
 
 _ATOMS = (Num, Var)
+
+
+def _degree_shape(terms: Terms, n: int) -> tuple[int, int, int, set[int]]:
+    """Largest t-degree, d-degree and total degree of the terms, and their t- less d-degrees."""
+    ts = [sum(key[:n]) for key in terms]
+    ds = [sum(key[n:]) for key in terms]
+    return max(ts), max(ds), max(map(add, ts, ds)), set(map(sub, ts, ds))
+
+
+def _monomials(degree: int, variables: int) -> int:
+    """How many monomials of exactly this degree the variables have."""
+    if not variables:
+        return int(degree == 0)
+    return comb(degree + variables - 1, variables - 1)
 
 
 def _coefficient_bits(values) -> int:

@@ -18,6 +18,7 @@ through degrees.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -387,30 +388,50 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
     Graded-lex order.  The remainder is zero exactly when p lies in the
     principal ideal (g): a one-element set is a Groebner basis of the
     ideal it generates.
+
+    The division runs on integer numerators.  The working terms and the
+    remainder share one denominator, p's times a multiplier that grows
+    only when a leading coefficient is not a multiple of g's leading
+    numerator; the leading term is popped from a heap in descending
+    graded-lex order (_print_key ascending).  Scaling g does not change
+    the remainder, so g's numerators are used as they stand.
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.n != g.n:
         raise ValueError(f"mixing polynomials in {p.n} and {g.n} variables")
-    lead_g, cg = g.leading()
-    g_terms = g.terms
-    work = p.terms
-    rem: dict[MultiIndex, Fraction] = {}
-    while work:
-        I = max(work, key=grlex_key)
-        c = work.pop(I)
-        if lead_g.divides(I):
-            shift = I - lead_g
-            factor = c / cg
-            for J, d in g_terms.items():
-                if J == lead_g:
-                    continue
-                K = J + shift
-                v = work.get(K, _ZERO) - factor * d
-                if v:
-                    work[K] = v
-                else:
-                    work.pop(K, None)
-        else:
+    lead_g = max(g._num, key=grlex_key)
+    a = g._num[lead_g]
+    tail = [(J, d) for J, d in g._num.items() if J != lead_g]
+    new = tuple.__new__
+    work = dict(p._num)
+    rem: dict[MultiIndex, int] = {}
+    heap = [(_print_key(I), I) for I in work]
+    heapq.heapify(heap)
+    scale = 1
+    while heap:
+        I = heapq.heappop(heap)[1]
+        c = work.pop(I, 0)
+        if not c:  # cancelled, or a second heap entry of a term already taken
+            continue
+        shift = tuple(map(sub, I, lead_g))
+        if min(shift) < 0:
             rem[I] = c
-    return Poly._make(p.n, *_integer_form(rem))
+            continue
+        m = abs(a) // math.gcd(c, a)
+        if m != 1:  # make c a multiple of a: every coefficient times m
+            scale *= m
+            c *= m
+            work = {K: v * m for K, v in work.items()}
+            rem = {K: v * m for K, v in rem.items()}
+        q = c // a
+        for J, d in tail:
+            K = new(MultiIndex, map(add, J, shift))
+            v = work.get(K, 0) - q * d
+            if v:
+                if K not in work:
+                    heapq.heappush(heap, (_print_key(K), K))
+                work[K] = v
+            else:
+                work.pop(K, None)
+    return Poly._make(p.n, rem, p._den * scale)

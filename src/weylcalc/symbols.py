@@ -65,12 +65,15 @@ def principal_symbol(D: DiffOp, k: int | None = None) -> SymbolElem:
 
     k defaults to the order of D (grade 0 for the zero operator).  The
     symbol is an honest class of D only when D has order <= k, so
-    k below the order is an error; k above it yields the zero symbol,
-    consistent with D being of lower order than the grade pretends.
+    k below the order is an error, as is a negative k; k above the
+    order yields the zero symbol, consistent with D being of lower
+    order than the grade pretends.
     """
     order = D.order
     if k is None:
         k = order if order is not None else 0
+    if k < 0:
+        raise ValueError(f"grade must be nonnegative, got {k}")
     if order is not None and k < order:
         raise ValueError(f"grade {k} below the operator order {order}")
     n = D.n

@@ -193,6 +193,20 @@ def test_random_command_lines(tmp_path):
     assert reparsed > 40, reparsed
 
 
+def test_check_max_order_is_bounded_by_the_jet_basis():
+    # --max-order near and far past the largest allowed for each --n: C(n + k, n) <= 300
+    rng = random.Random(SEED + 1)
+    largest = {1: 299, 2: 23, 3: 10}
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        k = rng.choice([largest[n] - 1, largest[n], largest[n] + 1, rng.randint(0, 10**6)])
+        argv = ["check", "--law", rng.choice(LAWS[:3]), "--trials", "1", "--seed", str(rng.randrange(1000)),
+                "--n", str(n), "--max-order", str(k)]
+        code, out, err = run_main(argv)
+        check_outcome(argv, code, out, err)
+        assert (code == 2) == (k > largest[n]), (argv, code, err)
+
+
 SUBPROCESS_CASES = [
     ["normalize", "(t1+t2)^5000"],
     ["normalize", "7^123456789"],
@@ -202,6 +216,10 @@ SUBPROCESS_CASES = [
     ["symbol", "d1*d2", "--grade", "1"],
     ["order", "t1", "--vars", "x"],
     ["check", "--law", "no-such-law", "--seed", "1"],
+    ["normalize", "d1^300*d2^300*t1^300*t2^300"],
+    ["symbol", "0", "--grade", "-2"],
+    ["check", "--law", "interpolation", "--trials", "2", "--seed", "1", "--max-order", "40", "--n", "3"],
+    ["check", "--law", "jacobi", "--trials", "3", "--seed", "1", "--max-order", "200", "--n", "3"],
 ]
 
 

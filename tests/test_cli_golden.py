@@ -243,6 +243,45 @@ GOLDEN_CASES = [
         code=2,
         err="error: a table of degree 100 in 2 variables has more than 300 monomials\n",
     ),
+    # a product that reorders d_i past t_i is estimated like a power before it is expanded
+    dict(
+        id="normalize d1^300*d2^300*t1^300*t2^300",
+        args=["normalize", "d1^300*d2^300*t1^300*t2^300"],
+        out="",
+        code=2,
+        err="error: the product is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(
+        id="normalize d1^1000*t1^1000",
+        args=["normalize", "d1^1000*t1^1000"],
+        out="",
+        code=2,
+        err="error: the product is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(id="normalize t1^100000*d1^100000", args=["normalize", "t1^100000*d1^100000"], out="(t1^100000)*d1^100000\n"),
+    # a grade is nonnegative, also for the zero operator
+    dict(
+        id="symbol 0 --grade -2",
+        args=["symbol", "0", "--grade", "-2"],
+        out="",
+        code=2,
+        err="error: grade must be nonnegative, got -2\n",
+    ),
+    # check --max-order is bounded like a jet table's degree
+    dict(
+        id="check --max-order 40 --n 3",
+        args=["check", "--law", "interpolation", "--trials", "2", "--seed", "1", "--max-order", "40", "--n", "3"],
+        out="",
+        code=2,
+        err="error: max_order 40 in 3 variables gives a jet basis of 12341 monomials, more than 300\n",
+    ),
+    dict(
+        id="check --max-order 10 --n 3",
+        args=["check", "--law", "interpolation", "--trials", "3", "--seed", "1", "--max-order", "10", "--n", "3"],
+        out="interpolation 3 0 PASS\n",
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,7 +87,7 @@ def test_restriction_tabulates():
 
 
 def test_staged_interpolation_uses_residuals():
-    # table: 1 -> t1, t1 -> 0 forces a correcting first-order term
+    # table: 1 -> t1, t1 -> 0 forces a correcting first-order term: f_1 = A(t1) - t1 * A(1)
     A = JetMap(1, 1, {(0,): Poly.variable(1, 1)})
     D = from_jet_map(A)
     assert D == DiffOp(
@@ -131,7 +132,7 @@ def test_interpolation_round_trip(A):
 
 @given(jet_maps(k=1))
 def test_triangular_stages_settle_lower_degrees(A):
-    # the degree-d stage never disturbs what was settled below it
+    # every basis monomial, low degrees included, goes to its table value
     D = from_jet_map(A)
     for I in monomials_up_to(A.n, A.k):
         assert D.apply(Poly.monomial(A.n, I)) == A.values[I]
@@ -148,3 +149,64 @@ def test_order_k_operator_maps_power_products_into_the_ideal():
     p = Poly.monomial(1, (1,), 2) - Poly.const(1, Fraction(4, 3))
     f2 = p * p * p
     assert D(f2).evaluate(x) == 0
+
+
+def staged_from_jet_map(A):
+    """Test-only oracle: interpolation in stages of ascending degree.
+
+    The stage for degree d adds d_basis(residual, I) for every t^I of
+    degree d, the residual being A(t^I) less what the stages below
+    already send t^I to.  It applies operators and never reads a
+    binomial coefficient, so it shares nothing with the closed form.
+    """
+    D = DiffOp.zero(A.n)
+    for _, basis in groupby(monomials_up_to(A.n, A.k), key=sum):
+        stage = DiffOp.zero(A.n)
+        for I in basis:
+            residual = A.values[I] - D.apply(Poly.monomial(A.n, I))
+            if residual:
+                stage = stage + d_basis(residual, I)
+        D = D + stage
+    return D
+
+
+@st.composite
+def any_jet_maps(draw):
+    """Tables in 1..3 variables of degree 0..3: zero, sparse or dense, mixed denominators."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
+    basis = monomials_up_to(n, k)
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if kind == "zero":
+        return JetMap.zero(n, k)
+    chosen = basis if kind == "dense" else draw(st.lists(st.sampled_from(basis), max_size=3))
+    return JetMap(n, k, {I: draw(polys(n=n)) for I in chosen})
+
+
+@given(any_jet_maps())
+def test_closed_form_matches_the_staged_oracle(A):
+    assert from_jet_map(A) == staged_from_jet_map(A)
+
+
+def test_closed_form_examples():
+    # degree 0: multiplication by the value of 1
+    A = JetMap(3, 0, {(0, 0, 0): Poly(3, {(1, 0, 2): Fraction(-2, 3)})})
+    assert from_jet_map(A) == DiffOp.from_poly(A.values[MultiIndex((0, 0, 0))])
+    # mixed denominators: t1^2 -> 1/3 alone needs (1/6) d1^2 and nothing else
+    B = JetMap(1, 2, {(2,): Poly.const(1, Fraction(1, 3))})
+    assert from_jet_map(B) == DiffOp(1, {(2,): Poly.const(1, Fraction(1, 6))})
+    C = JetMap(2, 2, {(0, 0): Poly.const(2, Fraction(1, 2)), (1, 1): t(1) * Fraction(2, 7), (0, 2): t(2)})
+    for table in (A, B, C):
+        assert from_jet_map(table) == staged_from_jet_map(table)
+        assert restriction(from_jet_map(table), table.k) == table
+    # f_(1,1) = A(t1*t2) - t2*A(t1) - t1*A(t2) + t1*t2*A(1), and so on
+    assert str(from_jet_map(C)) == (
+        "(1/4*t1^2)*d1^2 + (1/2*t1*t2 + 2/7*t1)*d1*d2 + (1/4*t2^2 + 1/2*t2)*d2^2"
+        " + (-1/2*t1)*d1 + (-1/2*t2)*d2 + 1/2"
+    )
+
+
+def test_closed_form_does_not_use_the_composition_binomial():
+    from weylcalc import jets
+
+    assert "_binom" not in jets.from_jet_map.__code__.co_names

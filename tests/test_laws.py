@@ -20,6 +20,7 @@ from weylcalc.laws import (
     run_all,
     run_law,
 )
+from weylcalc.parser import MAX_JET_BASIS
 from weylcalc.poly import Poly
 
 FAST = GenConfig(n=2, max_order=2, max_coeff_degree=2, coeff_bound=5, trials=25, seed=11)
@@ -84,6 +85,12 @@ def test_genconfig_validation():
         GenConfig(n=4)
     with pytest.raises(ValueError):
         GenConfig(max_order=-1)
+    # max_order is bounded like a jet table's degree: C(n + k, n) <= MAX_JET_BASIS
+    for n, k in [(1, 299), (2, 23), (3, 10)]:
+        assert math.comb(n + k, n) <= MAX_JET_BASIS < math.comb(n + k + 1, n)
+        GenConfig(n=n, max_order=k)
+        with pytest.raises(ValueError, match=f"gives a jet basis of {math.comb(n + k + 1, n)} monomials"):
+            GenConfig(n=n, max_order=k + 1)
     with pytest.raises(ValueError):
         GenConfig(coeff_bound=0)
     with pytest.raises(ValueError):

@@ -206,3 +206,46 @@ def test_leibniz_oracle_examples():
     for A, B in [(d1, m1), (third, m1), (m1, third), (third, third), (DiffOp.zero(2), third)]:
         assert A.compose(B) == leibniz_compose(A, B)
     assert str(leibniz_compose(third, m1)) == str(third.compose(m1)) == "(1/6*t1)*d1^2 + (1/3)*d1 + (1/2*t1*t2)*d2"
+
+
+def reference_apply(D, p):
+    """Test-only oracle: D(p) in Poly arithmetic, word by word, from the view terms.
+
+    The sum of f_J * d^J(p), with Poly.derive, * and + doing the work.
+    """
+    out = Poly.zero(D.n)
+    for J, f in D.terms.items():
+        dp = p.derive(J)
+        if dp:
+            out = out + f * dp
+    return out
+
+
+@st.composite
+def operator_and_poly(draw):
+    """(D, p) in 1..3 variables; D may be zero, p may be zero, denominators mixed."""
+    n = draw(st.integers(1, 3))
+    D = draw(st.one_of(st.just(DiffOp.zero(n)), diffops(n=n, max_word=3)))
+    return D, draw(polys(n=n, max_exp=4, max_terms=4))
+
+
+@given(operator_and_poly())
+def test_apply_matches_the_reference(case):
+    D, p = case
+    assert D.apply(p) == reference_apply(D, p)
+
+
+def test_apply_reference_examples():
+    D = DiffOp(2, {(1, 1): Poly(2, {(1, 0): Fraction(1, 6)}), (0, 0): Poly.const(2, Fraction(2, 3)), (2, 0): t(2)})
+    p = Poly(2, {(3, 1): Fraction(3, 4), (0, 2): Fraction(-1, 5), (0, 0): 7})
+    assert D.apply(p) == reference_apply(D, p)
+    assert str(D.apply(p)) == "1/2*t1^3*t2 + 3/8*t1^3 + 9/2*t1*t2^2 - 2/15*t2^2 + 14/3"
+    assert D.apply(Poly.zero(2)) == Poly.zero(2)
+    assert DiffOp.zero(2).apply(p) == Poly.zero(2)
+    # a word of order above the degree of p kills it
+    assert DiffOp(1, {(4,): Poly.const(1, 1)}).apply(Poly.monomial(1, (3,))) == Poly.zero(1)
+
+
+def test_apply_does_not_use_the_composition_binomial():
+    # the oracle laws apply operators to check composition, so apply stays off _binom
+    assert "_binom" not in DiffOp.apply.__code__.co_names

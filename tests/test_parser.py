@@ -21,6 +21,7 @@ from weylcalc.parser import (
     Pow,
     Sub,
     Var,
+    _Evaluator,
     _tokenize,
     max_index,
     parse_ast,
@@ -164,6 +165,44 @@ def test_powers_are_bounded():
     # a single monomial or a constant has one term at any exponent
     assert parse_poly(f"(t1*t2*t3*t4*t5*t6)^{MAX_EXPONENT}") == Poly.monomial(6, [MAX_EXPONENT] * 6)
     assert parse_poly(f"2^15000*(1/2)^15000") == Poly.const(1, 1)
+
+
+def test_reordering_products_are_bounded():
+    # a product that moves d_i past t_i is estimated before DiffOp.compose runs
+    too_large = f"the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
+    for src in ["d1^300*d2^300*t1^300*t2^300", "d1^1000*t1^1000", f"d1^{MAX_EXPONENT}*t1^{MAX_EXPONENT}", "t2*d1^1500*t1^1500*d2"]:
+        with pytest.raises(ParseError, match=too_large) as err:
+            parse_operator(src)
+        assert err.value.offset is None
+    # within the budget the product is the composition
+    d300 = DiffOp(1, {(300,): Poly.const(1, 1)})
+    assert parse_operator("d1^300*t1^300") == d300.compose(DiffOp.from_poly(Poly.monomial(1, (300,))))
+    # two expanded sums: the compose-step count (about 22 k) is over the budget, but
+    # only 4917 terms t^A d^B with |A| = |B| <= 8 can come out, so the product runs
+    product = parse_operator("(d1+d2+d3)^8*(t1+t2+t3)^8")
+    assert product == parse_operator("(d1+d2+d3)^8").compose(parse_operator("(t1+t2+t3)^8"))
+    assert len(product.poly._num) == 4917
+    # products that need no reordering are not estimated, whatever their size
+    assert len(parse_operator(f"t1^{MAX_EXPONENT}*d1^{MAX_EXPONENT}").terms) == 1
+    assert parse_symbol(f"x1^{MAX_EXPONENT}*t1^{MAX_EXPONENT}").grade == MAX_EXPONENT
+    # the steps of a power are budgeted by the power as a whole, not one by one
+    assert len(parse_operator("(t1+t2+t3+d1+d2+d3)^10").terms) == 286
+
+
+def test_product_term_count_bounds_the_product():
+    rng = random.Random(20261018)
+    evaluator = _Evaluator(3, "d", True)
+
+    def draw():
+        terms = ["*".join(f"{rng.choice('td')}{rng.randint(1, 3)}^{rng.randint(1, 4)}" for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        return evaluator.sum(parse_ast("+".join(terms), {"t", "d"}))
+
+    for _ in range(100):
+        left, right = draw(), draw()
+        if evaluator.reorders(left, right):
+            assert evaluator.product_terms(left, right, 10**9) >= len(evaluator.mul(left, right, False))
+            assert evaluator.product_terms(left, right, 3) <= 3
 
 
 def test_jet_tables_are_bounded():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from weylcalc.poly import MultiIndex, Poly, monomials_up_to, reduce_by
+from weylcalc.poly import MultiIndex, Poly, grlex_key, monomials_up_to, reduce_by
 
 
 def coeffs():
@@ -233,3 +233,59 @@ def test_fraction_reference_examples():
     assert not (half - half)
     assert (half * 2).terms == {(1,): 1}
     assert (third - Poly(1, {(0,): Fraction(2, 3)})).terms == {(1,): Fraction(1, 3)}
+
+
+def fraction_reduce_by(p, g):
+    """Test-only oracle: division by g on Fraction coefficients, the leading
+    term found by max() over the working terms at every step."""
+    lead_g, cg = g.leading()
+    work = p.terms
+    rem = {}
+    while work:
+        I = max(work, key=grlex_key)
+        c = work.pop(I)
+        if lead_g.divides(I):
+            shift = I - lead_g
+            factor = c / cg
+            for J, d in g.terms.items():
+                if J == lead_g:
+                    continue
+                K = J + shift
+                v = work.get(K, 0) - factor * d
+                if v:
+                    work[K] = v
+                else:
+                    work.pop(K, None)
+        else:
+            rem[I] = c
+    return Poly(p.n, rem)
+
+
+@st.composite
+def division_cases(draw):
+    """(p, g) in 1..3 variables, g nonzero; p is often a multiple of g plus a little."""
+    n = draw(st.integers(1, 3))
+    g = draw(polys(n=n, max_exp=2, max_terms=3))
+    if not g:
+        g = Poly.const(n, draw(coeffs().filter(bool)))
+    p = draw(polys(n=n, max_exp=4, max_terms=5))
+    if draw(st.booleans()):
+        p = p * g + draw(polys(n=n, max_exp=2, max_terms=2))
+    return p, g
+
+
+@given(division_cases())
+def test_reduce_by_matches_the_fraction_oracle(case):
+    p, g = case
+    assert reduce_by(p, g) == fraction_reduce_by(p, g)
+
+
+def test_reduce_by_scales_only_when_the_lead_does_not_divide():
+    t1, t2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    # numerators -30, 14, 35 over 35: steps rescale by 30 / gcd, the remainder stays exact
+    g = Poly(2, {(1, 1): Fraction(-6, 7), (0, 1): Fraction(2, 5), (0, 0): 1})
+    for p in [t1 * t1 * t2 * t2 + t1, (t1 + 3) * g + t2 * Fraction(1, 9), Poly.const(2, Fraction(7, 3))]:
+        assert reduce_by(p, g) == fraction_reduce_by(p, g)
+    assert reduce_by(g * g * (t1 - t2), g) == Poly.zero(2)
+    # scaling g does not move the remainder
+    assert reduce_by(t1 * t1 * t2 * t2 + t1, g * Fraction(-35, 2)) == reduce_by(t1 * t1 * t2 * t2 + t1, g)

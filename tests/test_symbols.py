@@ -82,6 +82,12 @@ def test_principal_symbol_of_zero():
     assert s.grade == 0 and not s
 
 
+def test_principal_symbol_refuses_a_negative_grade():
+    for D in [DiffOp.zero(2), DiffOp.identity(2), DiffOp.partial(2, 1)]:
+        with pytest.raises(ValueError, match="grade must be nonnegative, got -3"):
+            principal_symbol(D, -3)
+
+
 def test_symbol_mul_small():
     s = SymbolElem(2, 1, {(1, 0): Poly.const(2, 1)})
     u = SymbolElem(2, 1, {(0, 1): t(1)})
