@@ -12,17 +12,16 @@ import sys
 from collections.abc import Callable
 
 from .grothendieck import grothendieck_order, split_order_one
-from .operators import DiffOp, commutator
+from .operators import commutator
 from .parser import (
     MAX_INDEX,
     ParseError,
+    check_composition,
     check_xi_prefix,
-    parse_ast,
     parse_jet_map,
+    parse_operator,
+    parse_shared,
     parse_symbol,
-    to_diffop,
-    to_poly,
-    variable_count,
 )
 from .symbols import principal_symbol, quantize
 from .jets import from_jet_map
@@ -30,21 +29,6 @@ from .jets import from_jet_map
 
 def _fmt_order(order: int | None) -> str:
     return "-inf" if order is None else str(order)
-
-
-def _parse_shared(args: argparse.Namespace, *sources: tuple[str, str]) -> list:
-    """Evaluate each (kind, text) source, kind "operator" or "poly", in one shared n.
-
-    n is --vars if given, else the largest variable index in any source.
-    """
-    kinds = {"operator": ({"t", "d"}, to_diffop), "poly": ({"t"}, to_poly)}
-    trees = [(kind, parse_ast(text, kinds[kind][0])) for kind, text in sources]
-    n = variable_count(args.vars, *(tree for _, tree in trees))
-    return [kinds[kind][1](tree, n) for kind, tree in trees]
-
-
-def _operator_from(args: argparse.Namespace, src: str) -> DiffOp:
-    return _parse_shared(args, ("operator", src))[0]
 
 
 def _print(text: Callable[[], str]) -> int:
@@ -60,34 +44,37 @@ def _print(text: Callable[[], str]) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    D = _operator_from(args, args.expr)
+    D = parse_operator(args.expr, args.vars)
     return _print(lambda: str(D))
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
-    D, p = _parse_shared(args, ("operator", args.expr), ("poly", args.poly))
+    D, p = parse_shared(("operator", args.expr), ("poly", args.poly), n=args.vars)
     q = D.apply(p)
     return _print(lambda: str(q))
 
 
 def _cmd_comm(args: argparse.Namespace) -> int:
-    A, B = _parse_shared(args, ("operator", args.left), ("operator", args.right))
+    A, B = parse_shared(("operator", args.left), ("operator", args.right), n=args.vars)
+    # both products are estimated as the parser estimates a product in an expression
+    check_composition(A, B)
+    check_composition(B, A)
     C = commutator(A, B)
     return _print(lambda: str(C))
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
-    print(_fmt_order(_operator_from(args, args.expr).order))
+    print(_fmt_order(parse_operator(args.expr, args.vars).order))
     return 0
 
 
 def _cmd_gorder(args: argparse.Namespace) -> int:
-    print(_fmt_order(grothendieck_order(_operator_from(args, args.expr))))
+    print(_fmt_order(grothendieck_order(parse_operator(args.expr, args.vars))))
     return 0
 
 
 def _cmd_symbol(args: argparse.Namespace) -> int:
-    D = _operator_from(args, args.expr)
+    D = parse_operator(args.expr, args.vars)
     try:
         s = principal_symbol(D, args.grade)
     except ValueError as exc:
@@ -107,7 +94,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 
 def _cmd_split1(args: argparse.Namespace) -> int:
-    D = _operator_from(args, args.expr)
+    D = parse_operator(args.expr, args.vars)
     try:
         X, a = split_order_one(D)
     except ValueError as exc:

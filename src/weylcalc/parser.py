@@ -17,10 +17,10 @@ symbols t and the xi prefix (x by default).  Numbers and indices are
 written in decimal digits, at most MAX_DIGITS of them; other numeric
 characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
 parentheses and unary minus nest at most MAX_NESTING deep.  Exponents
-go up to MAX_EXPONENT, and a power, or a product that reorders
-derivatives past multiplications, whose estimated size (terms times
-coefficient bits) is over MAX_POWER_BITS is refused before it is
-expanded.  A jet table's basis holds at most MAX_JET_BASIS monomials.
+go up to MAX_EXPONENT, and a power or a product whose estimated size
+(terms times coefficient bits) is over MAX_POWER_BITS is refused before
+it is expanded.  A jet table's basis holds at most MAX_JET_BASIS
+monomials.
 
 Text becomes a tree in two stages: one regular-expression scan into
 tokens, then recursive descent over the grammar.  Sum and product
@@ -30,16 +30,18 @@ classes that compare, print and refuse hashing as dataclasses would;
 they are not dataclasses, so that importing the parser stays cheap.
 
 One evaluator turns a tree into a polynomial, an operator or a symbol.
-Its values are sums of normal-ordered terms c * t^a * y^b, a dict from
-the exponents (a, b) to c: the keys of the Poly in 2n variables that
-stores an operator (y = d) or a symbol (y = the xi prefix); a
-polynomial has no y.  A product chain folds left to right into one
-term: a number multiplies c, an atom t_i^k or y_i^k adds k to its
-exponent, and a right factor c * d^b just shifts the words on its
-left.  Only where a t_i follows a d_i, or a compound factor meets the
-derivatives on its left, does DiffOp.compose reorder the product;
-symbols and polynomials commute.  Sums and product chains are walked
-with an explicit stack, so a sum of any length needs no recursion.
+Its values are the kernel's own Poly, sums of normal-ordered terms
+c * t^a * y^b: in 2n variables for an operator (y = d) or a symbol (y =
+the xi prefix), in n for a polynomial, which has no y.  A product chain
+folds left to right into one term: a number multiplies c, an atom
+t_i^k or y_i^k adds k to its exponent, and a right factor c * d^b just
+shifts the words on its left.  Every other product is estimated
+against MAX_POWER_BITS first.  Where a t_i follows a d_i, or a compound
+factor meets the derivatives on its left, DiffOp.compose reorders the
+product; otherwise it is the Poly product, as it always is for symbols
+and polynomials.  Powers are the kernel's powers.  Sums and product
+chains are walked with an explicit stack, so a sum of any length needs
+no recursion.
 
 Errors carry the 1-based byte offset of the offending token; semantic
 errors that have no single position carry offset None.
@@ -68,9 +70,8 @@ MAX_DIGITS = 4300
 MAX_INDEX = 100
 # The largest exponent, refused as soon as it is read.
 MAX_EXPONENT = 100_000
-# The most bits a power, or a product that reorders d_i past t_i, may be
-# estimated to hold, terms times coefficient bits; a larger one is refused
-# before it is computed.
+# The most bits a power or a product may be estimated to hold, terms times
+# coefficient bits; a larger one is refused before it is computed.
 MAX_POWER_BITS = 2**20
 # The most monomials a jet table's basis may have: C(n+K, K) in n variables
 # at degree K.
@@ -338,16 +339,14 @@ def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> 
     return best
 
 
-# A sum of normal-ordered terms: exponents of (t, y) -> nonzero int or Fraction
-Terms = dict[tuple[int, ...], int | Fraction]
-
-
 class _Evaluator:
     """Evaluates a tree in t1..tn and y1..yn, y named by the prefix second.
 
-    second is None for polynomials, whose terms have n exponents; else
-    a term has 2n, with y_i in slot n+i.  reorder says that y_i = d_i
-    does not commute with t_i.
+    Every value is a Poly in the kernel's integer form: in n variables
+    for polynomials (second is None), else in 2n with y_i in slot n+i.
+    reorder says that y_i = d_i does not commute with t_i.  Every
+    product and power is estimated against MAX_POWER_BITS before it is
+    expanded.
     """
 
     def __init__(self, n: int, second: str | None, reorder: bool):
@@ -356,9 +355,8 @@ class _Evaluator:
         self.width = n if second is None else 2 * n
         self.reorder = reorder
 
-    def sum(self, node: Node) -> Terms:
-        acc: Terms = {}
-        get = acc.get
+    def sum(self, node: Node) -> Poly:
+        parts: list[Poly] = []
         stack = [(node, 1)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -373,12 +371,20 @@ class _Evaluator:
             elif cls is Neg:
                 push((node.inner, -sign))
             else:
-                for key, c in self.product(node, sign).items():
-                    prev = get(key)
-                    acc[key] = c if prev is None else prev + c
-        return {key: c for key, c in acc.items() if c}
+                parts.append(self.product(node, sign))
+        if len(parts) == 1:
+            return parts[0]
+        # all parts at once over one denominator: pairwise + would be quadratic in long sums
+        den = lcm(*(part._den for part in parts))
+        acc: dict[MultiIndex, int] = {}
+        get = acc.get
+        for part in parts:
+            scale = den // part._den
+            for key, c in part._num.items():
+                acc[key] = get(key, 0) + c * scale
+        return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
 
-    def product(self, node: Node, c: int | Fraction) -> Terms:
+    def product(self, node: Node, c: int | Fraction) -> Poly:
         """c times the product chain at node, folded left to right.
 
         The factors seen so far are done * (c * t^a * y^b), with the
@@ -387,7 +393,7 @@ class _Evaluator:
         """
         n, width, reorder = self.n, self.width, self.reorder
         exps = [0] * width
-        done: Terms | None = None
+        done: Poly | None = None
         stack = [node]
         pop, push = stack.pop, stack.append
         while stack:
@@ -410,7 +416,7 @@ class _Evaluator:
                 if value.denominator == 1:
                     value = value.numerator
                 if k != 1:
-                    _check_power(k, 1, _coefficient_bits([value]))
+                    _check_power(k, 1, _coefficient_bits(_term([0], value)))
                     value **= k
                 c = value if c == 1 else -value if c == -1 else c * value
                 continue
@@ -421,16 +427,16 @@ class _Evaluator:
                     continue
                 unit = [0] * width
                 unit[s] = k
-                factor = {tuple(unit): 1}
+                factor = _term(unit, 1)
             elif cls is Pow:
                 factor = self.power(self.sum(node.base), node.exponent)
             else:
                 factor = self.sum(node)
             if c != 1 or any(exps):
-                done = self.mul(done, {tuple(exps): c} if c else {})
+                done = self.mul(done, _term(exps, c))
                 c, exps = 1, [0] * width
             done = self.mul(done, factor)
-        return self.mul(done, {tuple(exps): c} if c else {})
+        return self.mul(done, _term(exps, c))
 
     def slot(self, var: Var) -> int:
         if var.index > self.n:
@@ -444,71 +450,61 @@ class _Evaluator:
         expected = "t" if self.second is None else ", ".join(sorted({"t", self.second}))
         raise ParseError(var.offset, f"unknown variable {var.prefix!r}; expected one of: {expected}")
 
-    def mul(self, left: Terms | None, right: Terms, budget: bool = True) -> Terms:
-        """left * right; None stands for 1.
-
-        A product that reorders is checked against the size budget first,
-        unless budget is False (the steps of a power, budgeted as a whole).
-        """
+    def mul(self, left: Poly | None, right: Poly) -> Poly:
+        """left * right, checked against the size budget first; None stands for 1."""
         if left is None:
             return right
+        self.check_product(left, right)
         if self.reorder and self.reorders(left, right):
-            if budget:
-                self.check_product(left, right)
-            n, width = self.n, self.width
-            star = DiffOp._make(n, Poly(width, left)).compose(DiffOp._make(n, Poly(width, right)))
-            return star.poly.terms
-        out: Terms = {}
-        get = out.get
-        for K, a in left.items():
-            for L, b in right.items():
-                key = tuple(map(add, K, L))
-                out[key] = get(key, 0) + a * b
-        return {key: c for key, c in out.items() if c}
+            n = self.n
+            return DiffOp._make(n, left).compose(DiffOp._make(n, right)).poly
+        return left * right
 
-    def power(self, base: Terms, k: int) -> Terms:
+    def power(self, base: Poly, k: int) -> Poly:
         if base:
-            _check_power(k, self.power_terms(base, k), _coefficient_bits(base.values()))
-        out = base
-        for _ in range(k - 1):
-            out = self.mul(out, base, False)
-        return out
+            _check_power(k, self.power_terms(base, k), _coefficient_bits(base))
+        if self.reorder and self.reorders(base, base):
+            return (DiffOp._make(self.n, base) ** k).poly
+        return base**k
 
-    def power_terms(self, base: Terms, k: int) -> int:
+    def power_terms(self, base: Poly, k: int) -> int:
         """An upper bound on the terms of base^k.
 
         At most the monomials of degree k*D in the variables base uses (D
         its degree) and the box of k times their largest exponents; where
         no d_i meets a t_i, also at most the multisets of k terms of base.
         """
-        highs = [max(column) for column in zip(*base)]
+        highs = [max(column) for column in zip(*base._num)]
         used = sum(1 for h in highs if h)
-        bound = min(comb(used + k * max(map(sum, base)), used), prod(k * h + 1 for h in highs))
+        bound = min(comb(used + k * max(map(sum, base._num)), used), prod(k * h + 1 for h in highs))
         n = self.n
         if not (self.reorder and any(highs[i] and highs[n + i] for i in range(n))):
-            bound = min(bound, comb(len(base) + k - 1, k))
+            bound = min(bound, comb(len(base._num) + k - 1, k))
         return bound
 
-    def check_product(self, left: Terms, right: Terms) -> None:
-        """Refuse a reordering product whose estimated size is over MAX_POWER_BITS.
+    def check_product(self, left: Poly, right: Poly) -> None:
+        """Refuse a product whose estimated size is over MAX_POWER_BITS.
 
         The terms are at most those DiffOp.compose works out: a left word
         d^X meeting a right t^S gives one for each K <= X, S, so the
-        product over i of min(X_i, S_i) + 1.  Where that is over the
-        budget, product_terms counts the possible results instead.  The
-        sum over K of binom(X_i, K_i) * perm(S_i, K_i) is at most
-        (1 + S_i)^X_i and (1 + X_i)^S_i, which bounds what reordering adds
-        to the coefficient bits.
+        product over i of min(X_i, S_i) + 1.  Where the evaluator does not
+        reorder, every left term counts as the empty word, so a product
+        of commuting factors is charged its pairs of terms.  Where that is
+        over the budget, product_terms counts the possible results
+        instead.  The sum over K of binom(X_i, K_i) * perm(S_i, K_i) is
+        at most (1 + S_i)^X_i and (1 + X_i)^S_i, which bounds what
+        reordering adds to the coefficient bits.
         """
         n = self.n
-        words = Counter(key[n:] for key in left)
-        powers = Counter(key[:n] for key in right)
+        cut = n if self.reorder else self.width
+        words = Counter(key[cut:] for key in left._num)
+        powers = Counter(key[:n] for key in right._num)
         work = grow = 0
         for X, a in words.items():
             for S, b in powers.items():
                 work += a * b * prod(min(x, s) + 1 for x, s in zip(X, S))
                 grow = max(grow, sum(min(x * (s + 1).bit_length(), s * (x + 1).bit_length()) for x, s in zip(X, S)))
-        bits = _coefficient_bits(left.values()) + _coefficient_bits(right.values()) + grow
+        bits = _coefficient_bits(left) + _coefficient_bits(right) + grow
         cap = MAX_POWER_BITS // bits + 1
         if work >= cap and self.product_terms(left, right, cap) >= cap:
             raise ParseError(
@@ -516,8 +512,8 @@ class _Evaluator:
                 f"the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
             )
 
-    def product_terms(self, left: Terms, right: Terms, cap: int) -> int:
-        """An upper bound on the terms of the reordered product, or cap if that is less.
+    def product_terms(self, left: Poly, right: Poly, cap: int) -> int:
+        """An upper bound on the terms of the product, or cap if that is less.
 
         t^T d^X times t^S d^Y gives terms t^A d^B with A = T + S - K and
         B = X + Y - K, so |A| - |B| = (|T| - |X|) + (|S| - |Y|), |A| and
@@ -528,9 +524,9 @@ class _Evaluator:
         """
         n = self.n
         (tl, dl, sl, gaps_l), (tr, dr, sr, gaps_r) = _degree_shape(left, n), _degree_shape(right, n)
-        keys = (*left, *right)
+        keys = (*left._num, *right._num)
         used_t = sum(1 for i in range(n) if any(key[i] for key in keys))
-        used_d = sum(1 for i in range(n, 2 * n) if any(key[i] for key in keys))
+        used_d = sum(1 for i in range(n, self.width) if any(key[i] for key in keys))
         count = 0
         for gap in {a + b for a in gaps_l for b in gaps_r}:
             for a in range(max(gap, 0), tl + tr + 1):
@@ -542,20 +538,26 @@ class _Evaluator:
                     return cap
         return count
 
-    def reorders(self, left: Terms, right: Terms) -> bool:
+    def reorders(self, left: Poly, right: Poly) -> bool:
         """Does some d_i on the left meet a t_i on the right?"""
         n = self.n
-        ts = {i for key in right for i in range(n) if key[i]}
-        return bool(ts) and any(key[n + i] for key in left for i in ts)
+        ts = {i for key in right._num for i in range(n) if key[i]}
+        return bool(ts) and any(key[n + i] for key in left._num for i in ts)
 
 
 _ATOMS = (Num, Var)
 
 
-def _degree_shape(terms: Terms, n: int) -> tuple[int, int, int, set[int]]:
+def _term(exps: list[int], c: int | Fraction) -> Poly:
+    """The one-term Poly c * t^a * y^b with exponents exps."""
+    num = {MultiIndex._make(exps): c.numerator} if c else {}
+    return Poly._make(len(exps), num, c.denominator)
+
+
+def _degree_shape(p: Poly, n: int) -> tuple[int, int, int, set[int]]:
     """Largest t-degree, d-degree and total degree of the terms, and their t- less d-degrees."""
-    ts = [sum(key[:n]) for key in terms]
-    ds = [sum(key[n:]) for key in terms]
+    ts = [sum(key[:n]) for key in p._num]
+    ds = [sum(key[n:]) for key in p._num]
     return max(ts), max(ds), max(map(add, ts, ds)), set(map(sub, ts, ds))
 
 
@@ -566,14 +568,13 @@ def _monomials(degree: int, variables: int) -> int:
     return comb(degree + variables - 1, variables - 1)
 
 
-def _coefficient_bits(values) -> int:
+def _coefficient_bits(p: Poly) -> int:
     """Bits of the sum of |c| over the common denominator, plus the denominator's.
 
     A k-th power's coefficients have at most k times as many, leaving
     out what reordering d_i past t_i adds.
     """
-    den = lcm(*(c.denominator for c in values))
-    return (sum(map(abs, values)) * den).numerator.bit_length() + den.bit_length()
+    return sum(map(abs, p._num.values())).bit_length() + p._den.bit_length()
 
 
 def _check_power(k: int, terms: int, bits: int) -> None:
@@ -585,11 +586,11 @@ def _check_power(k: int, terms: int, bits: int) -> None:
 
 
 def to_poly(node: Node, n: int) -> Poly:
-    return Poly(n, _Evaluator(n, None, False).sum(node))
+    return _Evaluator(n, None, False).sum(node)
 
 
 def to_diffop(node: Node, n: int) -> DiffOp:
-    return DiffOp._make(n, Poly(2 * n, _Evaluator(n, "d", True).sum(node)))
+    return DiffOp._make(n, _Evaluator(n, "d", True).sum(node))
 
 
 def variable_count(n: int | None, *trees: Node) -> int:
@@ -597,15 +598,29 @@ def variable_count(n: int | None, *trees: Node) -> int:
     return n if n is not None else max(1, *map(max_index, trees))
 
 
+def parse_shared(*sources: tuple[str, str], n: int | None = None) -> list:
+    """Each (kind, text) source, kind "operator" (t and d) or "poly" (t), in one shared n.
+
+    n is inferred as the largest variable index in any source unless given.
+    """
+    kinds = {"operator": ({"t", "d"}, to_diffop), "poly": ({"t"}, to_poly)}
+    trees = [(kind, parse_ast(text, kinds[kind][0])) for kind, text in sources]
+    n = variable_count(n, *(tree for _, tree in trees))
+    return [kinds[kind][1](tree, n) for kind, tree in trees]
+
+
 def parse_operator(src: str, n: int | None = None) -> DiffOp:
     """Operator expression in t and d variables; n inferred as the max index."""
-    ast = parse_ast(src, {"t", "d"})
-    return to_diffop(ast, variable_count(n, ast))
+    return parse_shared(("operator", src), n=n)[0]
 
 
 def parse_poly(src: str, n: int | None = None) -> Poly:
-    ast = parse_ast(src, {"t"})
-    return to_poly(ast, variable_count(n, ast))
+    return parse_shared(("poly", src), n=n)[0]
+
+
+def check_composition(left: DiffOp, right: DiffOp) -> None:
+    """Refuse left * right when its estimated size is over MAX_POWER_BITS, as in an expression."""
+    _Evaluator(left.n, "d", True).check_product(left.poly, right.poly)
 
 
 def check_xi_prefix(prefix: str) -> str:
@@ -620,15 +635,15 @@ def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> Symbol
     check_xi_prefix(xi_prefix)
     ast = parse_ast(src, {"t", xi_prefix})
     n = variable_count(n, ast)
-    terms = _Evaluator(n, xi_prefix, False).sum(ast)
-    grades = {sum(key[n:]) for key in terms} or {0}
+    poly = _Evaluator(n, xi_prefix, False).sum(ast)
+    grades = {sum(key[n:]) for key in poly._num} or {0}
     if len(grades) > 1:
         lo, hi = min(grades), max(grades)
         raise ParseError(
             None,
             f"symbol mixes {xi_prefix}-degrees {lo} and {hi}; a symbol is homogeneous in {xi_prefix}",
         )
-    return SymbolElem._make(n, Poly(2 * n, terms), grades.pop())
+    return SymbolElem._make(n, poly, grades.pop())
 
 
 def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:

@@ -217,6 +217,8 @@ SUBPROCESS_CASES = [
     ["order", "t1", "--vars", "x"],
     ["check", "--law", "no-such-law", "--seed", "1"],
     ["normalize", "d1^300*d2^300*t1^300*t2^300"],
+    ["normalize", "*".join(["(t1+t2+t3)^30"] * 5)],
+    ["comm", "(t1+t2+t3+d1+d2+d3)^8", "(t1+t2+t3+d1+d2+d3)^8"],
     ["symbol", "0", "--grade", "-2"],
     ["check", "--law", "interpolation", "--trials", "2", "--seed", "1", "--max-order", "40", "--n", "3"],
     ["check", "--law", "jacobi", "--trials", "3", "--seed", "1", "--max-order", "200", "--n", "3"],

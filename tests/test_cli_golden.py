@@ -261,6 +261,28 @@ GOLDEN_CASES = [
         "its estimated terms times coefficient bits exceed 1048576\n",
     ),
     dict(id="normalize t1^100000*d1^100000", args=["normalize", "t1^100000*d1^100000"], out="(t1^100000)*d1^100000\n"),
+    # every product is estimated, also one that needs no reordering, and comm's two products as well
+    dict(
+        id="normalize five (t1+t2+t3)^30 factors",
+        args=["normalize", "*".join(["(t1+t2+t3)^30"] * 5)],
+        out="",
+        code=2,
+        err="error: the product is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(
+        id="comm (t1+t2+t3+d1+d2+d3)^8 twice",
+        args=["comm", "(t1+t2+t3+d1+d2+d3)^8", "(t1+t2+t3+d1+d2+d3)^8"],
+        out="",
+        code=2,
+        err="error: the product is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(
+        id="comm (t1+t2+t3+d1+d2+d3)^6 twice",
+        args=["comm", "(t1+t2+t3+d1+d2+d3)^6", "(t1+t2+t3+d1+d2+d3)^6"],
+        out="0\n",
+    ),
     # a grade is nonnegative, also for the zero operator
     dict(
         id="symbol 0 --grade -2",

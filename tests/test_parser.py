@@ -23,11 +23,13 @@ from weylcalc.parser import (
     Var,
     _Evaluator,
     _tokenize,
+    check_composition,
     max_index,
     parse_ast,
     parse_jet_map,
     parse_operator,
     parse_poly,
+    parse_shared,
     parse_symbol,
     to_diffop,
     to_poly,
@@ -182,11 +184,52 @@ def test_reordering_products_are_bounded():
     product = parse_operator("(d1+d2+d3)^8*(t1+t2+t3)^8")
     assert product == parse_operator("(d1+d2+d3)^8").compose(parse_operator("(t1+t2+t3)^8"))
     assert len(product.poly._num) == 4917
-    # products that need no reordering are not estimated, whatever their size
+    # atoms fold into one term and never make a product, whatever their exponents
     assert len(parse_operator(f"t1^{MAX_EXPONENT}*d1^{MAX_EXPONENT}").terms) == 1
     assert parse_symbol(f"x1^{MAX_EXPONENT}*t1^{MAX_EXPONENT}").grade == MAX_EXPONENT
     # the steps of a power are budgeted by the power as a whole, not one by one
     assert len(parse_operator("(t1+t2+t3+d1+d2+d3)^10").terms) == 286
+
+
+def test_commuting_products_are_bounded():
+    # a product that needs no reordering is estimated too: its pairs of terms times coefficient bits
+    too_large = f"the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
+    f = "(t1+t2+t3)^30"
+    with pytest.raises(ParseError, match=too_large) as err:
+        parse_operator("*".join([f] * 5))
+    assert err.value.offset is None
+    with pytest.raises(ParseError, match=too_large):
+        parse_poly("*".join([f] * 5))
+    # 231 * 231 pairs make at most 53361 terms of about 64 bits, over the budget
+    with pytest.raises(ParseError, match=too_large):
+        parse_symbol("(x1+x2+x3)^20*(t1+t2+t3)^20")
+    # at most 201 terms of degree 200 can come out, so the product runs
+    assert parse_poly("(t1+t2)^100*(t1-t2)^100") == (t(1) ** 2 - t(2) ** 2) ** 100
+    # a symbol's x_i commutes with t_i, so no reordering is charged: 961 pairs
+    s = parse_symbol("(x1+x2)^30*(t1+t2)^30")
+    assert s.grade == 30 and len(s.poly._num) == 31 * 31
+    # three factors are within the budget, as a product of operators too
+    assert parse_operator("*".join([f] * 3)) == DiffOp.from_poly(parse_poly(f) ** 3)
+
+
+def test_composition_check_matches_the_parser():
+    wide = parse_operator("(t1+t2+t3+d1+d2+d3)^8")
+    with pytest.raises(ParseError, match="the product is too large to expand"):
+        check_composition(wide, wide)
+    with pytest.raises(ParseError, match="the product is too large to expand"):
+        parse_operator("(t1+t2+t3+d1+d2+d3)^8*(t1+t2+t3+d1+d2+d3)^8")
+    # the check is not symmetric: d1^1000 after t1^1000 needs no reordering
+    d, t1 = parse_operator("d1^1000"), parse_operator("t1^1000")
+    check_composition(t1, d)
+    with pytest.raises(ParseError, match="the product is too large to expand"):
+        check_composition(d, t1)
+
+
+def test_shared_parse_infers_one_n():
+    D, p = parse_shared(("operator", "d2"), ("poly", "t1"))
+    assert D == DiffOp.partial(2, 2) and p == Poly.variable(2, 1)
+    D, p = parse_shared(("operator", "d1"), ("poly", "t1"), n=3)
+    assert D.n == p.n == 3
 
 
 def test_product_term_count_bounds_the_product():
@@ -201,7 +244,7 @@ def test_product_term_count_bounds_the_product():
     for _ in range(100):
         left, right = draw(), draw()
         if evaluator.reorders(left, right):
-            assert evaluator.product_terms(left, right, 10**9) >= len(evaluator.mul(left, right, False))
+            assert evaluator.product_terms(left, right, 10**9) >= len(evaluator.mul(left, right)._num)
             assert evaluator.product_terms(left, right, 3) <= 3
 
 
