@@ -16,6 +16,7 @@ from .operators import commutator
 from .parser import (
     MAX_INDEX,
     ParseError,
+    check_action,
     check_composition,
     check_xi_prefix,
     parse_jet_map,
@@ -50,6 +51,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     D, p = parse_shared(("operator", args.expr), ("poly", args.poly), n=args.vars)
+    check_action(D, p)
     q = D.apply(p)
     return _print(lambda: str(q))
 

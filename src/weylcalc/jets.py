@@ -15,8 +15,11 @@ binomial inversion solves for g:
 
 with J! and binom(J, K) the products of the componentwise factorials
 and binomial coefficients.  Every f_J is read off the table directly;
-no operator is applied.  restriction, in contrast, applies D to each
-monomial, so the two directions stay independent of each other.
+no operator is applied.  restriction goes forward instead: it walks
+each word J of D once and adds f_J * I!/(I-J)! * t^(I-J) into the
+value of every basis monomial t^I with I >= J.  It neither applies D
+per monomial nor shares the inversion, so the two directions stay
+independent of each other.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add, sub
 
-from .operators import DiffOp
+from .operators import DiffOp, _by_word
 from .poly import MultiIndex, Poly, monomials_up_to, subindices
 
 
@@ -95,13 +98,36 @@ def d_basis(f: Poly, I: Sequence[int]) -> DiffOp:
 
 
 def restriction(D: DiffOp, k: int) -> JetMap:
-    """Tabulate D on every monomial of degree at most k."""
+    """Tabulate D on every monomial of degree at most k, in one forward pass.
+
+    D(t^I) = sum over J <= I of f_J * I!/(I-J)! * t^(I-J).  Each word J
+    of degree at most k is walked once, over I = J + R for every R with
+    |R| <= k - |J|, and its numerators, times perm(I, J), go into one
+    integer dict per I over den(D).  Words above k reach no basis
+    monomial.
+    """
     if k < 0:
         raise ValueError(f"degree bound must be nonnegative, got {k}")
+    n = D.n
+    basis = monomials_up_to(n, k)
+    new = tuple.__new__
+    table: dict[MultiIndex, dict[MultiIndex, int]] = {I: {} for I in basis}
+    for J, group in _by_word(n, D.poly).items():
+        room = k - sum(J)
+        if room < 0:
+            continue
+        terms = [(key[:n], c) for key, c in group]
+        # basis ascends through degrees, so its first C(n + room, n) entries have degree <= room
+        for R in basis[: math.comb(n + room, n)]:
+            acc = table[new(MultiIndex, map(add, J, R))]
+            get = acc.get
+            scale = math.prod(map(math.perm, map(add, J, R), J))
+            for T, c in terms:
+                key = new(MultiIndex, map(add, T, R))
+                acc[key] = get(key, 0) + c * scale
+    den = D.poly._den
     return JetMap(
-        D.n,
-        k,
-        {I: D.apply(Poly.monomial(D.n, I)) for I in monomials_up_to(D.n, k)},
+        n, k, {I: Poly._make(n, {key: c for key, c in acc.items() if c}, den) for I, acc in table.items()}
     )
 
 

@@ -20,7 +20,8 @@ terms it is the generalized Leibniz rule, reindexed:
 
 with binom(I, K) the product of the componentwise binomial
 coefficients; it follows by induction on I from d_i g = g d_i +
-(dg/dt_i).
+(dg/dt_i).  d_t^K(B) is zero unless K is at most B's componentwise
+largest t-exponent, so compose enumerates K only up to that reach.
 
 apply is one integer loop as well: for each word J of the view terms,
 the numerators of d^J(p) are worked out once and multiplied into every
@@ -35,9 +36,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import product
 from operator import add, ge, sub
 
-from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, format_power_product, subindices
+from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, format_power_product, render_numerators
 
 # Composition looks binomial coefficients up through this module-level name
 # so tests can substitute a broken one and watch the oracle law catch it.
@@ -150,18 +152,23 @@ class _NormalForm:
         return NotImplemented
 
     def render(self, prefix: str | None = None) -> str:
-        """Words in descending graded-lex order, each as (f)*word; y is written prefix."""
-        terms = self.terms
+        """Words in descending graded-lex order, each as (f)*word; y is written prefix.
+
+        The text is read off the numerators of poly, grouped by word, over
+        its one denominator; no coefficient Poly is built.
+        """
+        n, den = self.n, self.poly._den
         prefix = prefix or self._prefix
-        one = Poly.const(self.n, 1)
+        groups = _by_word(n, self.poly)
         out = ""
-        for J in sorted(terms, key=_print_key):
-            f = terms[J]
+        for J in sorted(groups, key=_print_key):
+            group = groups[J]
             word = format_power_product(J, prefix)
-            if not word:
-                body = str(f)
+            if word and len(group) == 1 and group[0][1] == den and not any(group[0][0][:n]):
+                body = word  # the coefficient is 1
             else:
-                body = word if f == one else f"({f})*{word}"
+                f = render_numerators([(key[:n], c) for key, c in group], den, "t")
+                body = f"({f})*{word}" if word else f
             if not out:
                 out = body
             elif body.startswith("-"):
@@ -281,20 +288,26 @@ class DiffOp(_NormalForm):
         The left terms are grouped by word X.  For each K <= X, every
         left term t^T xi^X, times binom(X, K), meets d_t^K of every
         right term t^S xi^Y, and the products are added into one
-        integer dict.
+        integer dict.  d_t^K kills every right term unless K is at most
+        the reach, the right factor's componentwise largest t-exponent,
+        so K runs over K <= min(X, reach) only; at K = 0 the right terms
+        are used as they stand.
         """
         if other.n != self.n:
             raise ValueError(f"mixing operators in {self.n} and {other.n} variables")
         n = self.n
         new = tuple.__new__
         a, b = self.poly, other.poly
+        if not b:
+            return DiffOp._make(n, b)
+        reach = [max(column) for column in zip(*(key[:n] for key in b._num))]
         # K -> the right terms d_t^K keeps: (exponents less K in both halves, numerator
         # times falling factorials), so that adding a left key gives t^(T+S-K) xi^(X-K+Y)
-        derivatives: dict[MultiIndex, list[tuple[tuple, int]]] = {}
+        derivatives: dict[tuple, list[tuple[tuple, int]]] = {(0,) * n: list(b._num.items())}
         acc: dict[MultiIndex, int] = {}
         get = acc.get
         for X, left in _by_word(n, a).items():
-            for K in subindices(X):
+            for K in product(*[range(min(x, r) + 1) for x, r in zip(X, reach)]):
                 right = derivatives.get(K)
                 if right is None:
                     both = (*K, *K)

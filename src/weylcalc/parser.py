@@ -19,8 +19,9 @@ characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
 parentheses and unary minus nest at most MAX_NESTING deep.  Exponents
 go up to MAX_EXPONENT, and a power or a product whose estimated size
 (terms times coefficient bits) is over MAX_POWER_BITS is refused before
-it is expanded.  A jet table's basis holds at most MAX_JET_BASIS
-monomials.
+it is expanded; check_action estimates an operator applied to a
+polynomial against the same budget.  A jet table's basis holds at most
+MAX_JET_BASIS monomials.
 
 Text becomes a tree in two stages: one regular-expression scan into
 tokens, then recursive descent over the grammar.  Sum and product
@@ -35,11 +36,13 @@ c * t^a * y^b: in 2n variables for an operator (y = d) or a symbol (y =
 the xi prefix), in n for a polynomial, which has no y.  A product chain
 folds left to right into one term: a number multiplies c, an atom
 t_i^k or y_i^k adds k to its exponent, and a right factor c * d^b just
-shifts the words on its left.  Every other product is estimated
-against MAX_POWER_BITS first.  Where a t_i follows a d_i, or a compound
-factor meets the derivatives on its left, DiffOp.compose reorders the
-product; otherwise it is the Poly product, as it always is for symbols
-and polynomials.  Powers are the kernel's powers.  Sums and product
+shifts the words on its left.  A chain of atoms alone stays that one
+term, (exponents, coefficient), and the sum adds it into its integer
+dict over the lcm of all denominators, with no one-term Poly.  Every
+other product is estimated against MAX_POWER_BITS first.  Where a t_i
+follows a d_i, or a compound factor meets the derivatives on its left,
+DiffOp.compose reorders the product; otherwise it is the Poly product,
+as it always is for symbols and polynomials.  Powers are the kernel's powers.  Sums and product
 chains are walked with an explicit stack, so a sum of any length needs
 no recursion.
 
@@ -52,8 +55,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
-from math import comb, lcm, prod
-from operator import add, sub
+from math import comb, lcm, perm, prod
+from operator import add, ge, sub
 
 from .jets import JetMap
 from .operators import DiffOp
@@ -259,17 +262,26 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
-        tok = self.tokens[self.pos]
-        if tok[0] == "-":
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        kind = tok[0]
+        if kind == "var":  # the common atoms are read here, without a primary() call
+            self.pos += 1
+            node = Var(tok[1], tok[3], tok[2])
+        elif kind == "num" and tokens[self.pos + 1][0] != "/":
+            self.pos += 1
+            node = Num(Fraction(int(tok[1])))
+        elif kind == "-":
             self.pos += 1
             self.enter(tok)
             node = Neg(self.factor())
             self.depth -= 1
             return node
-        node = self.primary()
-        if self.tokens[self.pos][0] == "^":
+        else:
+            node = self.primary()
+        if tokens[self.pos][0] == "^":
             self.pos += 1
-            offset = self.tokens[self.pos][2]
+            offset = tokens[self.pos][2]
             exponent = self.positive("expected a positive integer exponent", "exponent must be at least 1")
             if exponent > MAX_EXPONENT:
                 raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
@@ -356,7 +368,8 @@ class _Evaluator:
         self.reorder = reorder
 
     def sum(self, node: Node) -> Poly:
-        parts: list[Poly] = []
+        polys: list[Poly] = []
+        terms: list[tuple[list[int], int | Fraction]] = []
         stack = [(node, 1)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -371,25 +384,36 @@ class _Evaluator:
             elif cls is Neg:
                 push((node.inner, -sign))
             else:
-                parts.append(self.product(node, sign))
-        if len(parts) == 1:
-            return parts[0]
+                part = self.product(node, sign)
+                if type(part) is tuple:
+                    terms.append(part)
+                else:
+                    polys.append(part)
+        if not terms and len(polys) == 1:
+            return polys[0]
+        if not polys and len(terms) == 1:
+            return _term(*terms[0])
         # all parts at once over one denominator: pairwise + would be quadratic in long sums
-        den = lcm(*(part._den for part in parts))
+        den = lcm(*(part._den for part in polys), *(c.denominator for _, c in terms))
         acc: dict[MultiIndex, int] = {}
         get = acc.get
-        for part in parts:
+        for part in polys:
             scale = den // part._den
             for key, c in part._num.items():
                 acc[key] = get(key, 0) + c * scale
+        new = tuple.__new__
+        for exps, c in terms:
+            key = new(MultiIndex, exps)
+            acc[key] = get(key, 0) + c.numerator * (den // c.denominator)
         return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
 
-    def product(self, node: Node, c: int | Fraction) -> Poly:
+    def product(self, node: Node, c: int | Fraction) -> Poly | tuple[list[int], int | Fraction]:
         """c times the product chain at node, folded left to right.
 
         The factors seen so far are done * (c * t^a * y^b), with the
         pending term's exponents in exps; atoms that need no reordering
-        go into the pending term.
+        go into the pending term.  A chain of atoms alone is that one
+        term, returned as (exps, c) for the sum to add in.
         """
         n, width, reorder = self.n, self.width, self.reorder
         exps = [0] * width
@@ -436,6 +460,8 @@ class _Evaluator:
                 done = self.mul(done, _term(exps, c))
                 c, exps = 1, [0] * width
             done = self.mul(done, factor)
+        if done is None:
+            return exps, c
         return self.mul(done, _term(exps, c))
 
     def slot(self, var: Var) -> int:
@@ -621,6 +647,33 @@ def parse_poly(src: str, n: int | None = None) -> Poly:
 def check_composition(left: DiffOp, right: DiffOp) -> None:
     """Refuse left * right when its estimated size is over MAX_POWER_BITS, as in an expression."""
     _Evaluator(left.n, "d", True).check_product(left.poly, right.poly)
+
+
+def check_action(D: DiffOp, p: Poly) -> None:
+    """Refuse D(p) when its estimated size is over MAX_POWER_BITS.
+
+    A term of f_J meets every term t^I of p with I >= J, so the terms
+    are the sum over words J of |f_J| times the count of such I.
+    d^J(t^I) multiplies a coefficient by perm(I, J) = I!/(I-J)!, so the
+    bits are those of D and p plus the most bits of perm(I, J) over
+    those pairs.  The estimate only grows, so it is refused as soon as
+    it passes the budget.
+    """
+    n = D.n
+    words = Counter(key[n:] for key in D.poly._num)
+    base = _coefficient_bits(D.poly) + _coefficient_bits(p)
+    terms = grow = 0
+    for J, a in words.items():
+        for I in p._num:
+            if all(map(ge, I, J)):
+                terms += a
+                grow = max(grow, prod(map(perm, I, J)).bit_length())
+                if terms * (base + grow) > MAX_POWER_BITS:
+                    raise ParseError(
+                        None,
+                        "the action is too large to expand: "
+                        f"its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
+                    )
 
 
 def check_xi_prefix(prefix: str) -> str:

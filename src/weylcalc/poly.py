@@ -6,9 +6,10 @@ exponent vectors (MultiIndex) to nonzero ints, and an int den with no
 factor common to all of them.  The empty dict over den 1 is the zero
 polynomial.  Arithmetic is integer work followed by one gcd reduction,
 and Fraction appears only at the API boundary: constructors take int or
-Fraction coefficients and Poly.terms shows them as Fractions.  Because
-the representation is canonical, equality of polynomials is equality
-of the stored data.
+Fraction coefficients and Poly.terms shows them as Fractions.  Printing
+reads the numerators too (render_numerators), one gcd per coefficient.
+Because the representation is canonical, equality of polynomials is
+equality of the stored data.
 
 Monomial order is graded lexicographic throughout: compare total degree
 first, then exponent tuples lexicographically.  Printing and division
@@ -312,7 +313,7 @@ class Poly:
         return I, Fraction(self._num[I], self._den)
 
     def __str__(self) -> str:
-        return render_terms(self.terms, "t")
+        return render_numerators(self._num.items(), self._den, "t")
 
     def __repr__(self) -> str:
         return f"Poly({self.n}: {self})"
@@ -331,30 +332,31 @@ def _integer_form(terms: Mapping[MultiIndex, Scalar]) -> tuple[dict[MultiIndex, 
     return {I: c.numerator * (den // c.denominator) for I, c in terms.items() if c}, den
 
 
-def render_terms(terms: Mapping[MultiIndex, Fraction], prefix: str) -> str:
-    """Canonical text for a term dict: descending graded-lex, explicit signs.
+def render_numerators(pairs: Iterable[tuple[Sequence[int], int]], den: int, prefix: str) -> str:
+    """Canonical text of the terms c/den * prefix^I: descending graded-lex, explicit signs.
 
-    Examples: '3*t1^2*t2 - 1/2*t2 + 4', '0', '-t1'.
+    pairs holds (I, c) with c a nonzero int; each coefficient is reduced
+    by its own gcd with den.  Examples: '3*t1^2*t2 - 1/2*t2 + 4', '-t1';
+    no pairs give '0'.
     """
-    if not terms:
-        return "0"
-    chunks = []
-    for I in sorted(terms, key=_print_key):
-        c = terms[I]
+    out = ""
+    gcd = math.gcd
+    for I, c in sorted(pairs, key=lambda pair: _print_key(pair[0])):
+        g = gcd(c, den)
+        p, q = abs(c) // g, den // g
         mono = format_power_product(I, prefix)
-        mag = abs(c)
+        mag = str(p) if q == 1 else f"{p}/{q}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif p == 1 == q:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        chunks.append(("-" if c < 0 else "+", body))
-    sign, body = chunks[0]
-    out = ("-" + body) if sign == "-" else body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+        if not out:
+            out = "-" + body if c < 0 else body
+        else:
+            out += f" - {body}" if c < 0 else f" + {body}"
+    return out or "0"
 
 
 def monomials_up_to(n: int, k: int) -> list[MultiIndex]:

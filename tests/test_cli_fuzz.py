@@ -219,6 +219,7 @@ SUBPROCESS_CASES = [
     ["normalize", "d1^300*d2^300*t1^300*t2^300"],
     ["normalize", "*".join(["(t1+t2+t3)^30"] * 5)],
     ["comm", "(t1+t2+t3+d1+d2+d3)^8", "(t1+t2+t3+d1+d2+d3)^8"],
+    ["apply", "(t1+t2+t3+d1+d2+d3)^12", "(t1+t2+t3)^40"],
     ["symbol", "0", "--grade", "-2"],
     ["check", "--law", "interpolation", "--trials", "2", "--seed", "1", "--max-order", "40", "--n", "3"],
     ["check", "--law", "jacobi", "--trials", "3", "--seed", "1", "--max-order", "200", "--n", "3"],

@@ -5,6 +5,7 @@ exit code, and stderr where the message is ours.  GOLDEN_CASES is also
 executed by the acceptance suite.
 """
 
+import math
 import subprocess
 import sys
 
@@ -19,6 +20,13 @@ GOLDEN_CASES = [
     dict(args=["normalize", "t1*d1 - d1*t1"], out="-1\n"),
     dict(args=["apply", "t1*d1*d2", "t1*t2^2"], out="2*t1*t2\n"),
     dict(args=["apply", "d1^2", "t1^3"], out="6*t1\n"),
+    # negative fractions keep their signs inside and outside the parentheses
+    dict(
+        id="normalize negative fractions",
+        args=["normalize", "d2*(-1/3*t2^2 + 5/2*t1) - 1/2*t1*d1 - 2/3"],
+        out="(-1/2*t1)*d1 + (-1/3*t2^2 + 5/2*t1)*d2 - 2/3*t2 - 2/3\n",
+    ),
+    dict(id="apply negative fractions", args=["apply", "-1/2*t1*d1 - 2/3", "t1^2 - 3/4*t2"], out="-5/3*t1^2 + 1/2*t2\n"),
     dict(args=["comm", "d2", "t2"], out="1\n"),
     dict(args=["comm", "d1", "t2"], out="0\n"),
     dict(args=["order", "t1*d1*d2 + d1"], out="2\n"),
@@ -283,6 +291,16 @@ GOLDEN_CASES = [
         args=["comm", "(t1+t2+t3+d1+d2+d3)^6", "(t1+t2+t3+d1+d2+d3)^6"],
         out="0\n",
     ),
+    # apply is estimated on its own: the words of the operator against the terms of the polynomial
+    dict(
+        id="apply (t1+t2+t3+d1+d2+d3)^12 to (t1+t2+t3)^40",
+        args=["apply", "(t1+t2+t3+d1+d2+d3)^12", "(t1+t2+t3)^40"],
+        out="",
+        code=2,
+        err="error: the action is too large to expand: "
+        "its estimated terms times coefficient bits exceed 1048576\n",
+    ),
+    dict(id="apply d1^1000 to t1^1000", args=["apply", "d1^1000", "t1^1000"], out=f"{math.factorial(1000)}\n"),
     # a grade is nonnegative, also for the zero operator
     dict(
         id="symbol 0 --grade -2",

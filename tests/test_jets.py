@@ -86,6 +86,38 @@ def test_restriction_tabulates():
     assert A.values[MultiIndex((0, 2))] == Poly.zero(2)
 
 
+def applied_restriction(D, k):
+    """Test-only oracle: the table of D by applying it to each basis monomial on its own."""
+    return JetMap(D.n, k, {I: D.apply(Poly.monomial(D.n, I)) for I in monomials_up_to(D.n, k)})
+
+
+@st.composite
+def operator_and_degree(draw):
+    """(D, k) in 1..3 variables with k in 0..4; D may be zero and may have words above k."""
+    n = draw(st.integers(1, 3))
+    D = draw(st.one_of(st.just(DiffOp.zero(n)), diffops(n=n, max_word=2, max_terms=4)))
+    return D, draw(st.integers(0, 4))
+
+
+@given(operator_and_degree())
+def test_restriction_matches_the_applied_oracle(case):
+    D, k = case
+    assert restriction(D, k) == applied_restriction(D, k)
+
+
+def test_restriction_oracle_examples():
+    half = Fraction(1, 2)
+    D = DiffOp(2, {(2, 1): t(1) * half, (1, 0): t(2) - Fraction(2, 3), (0, 0): Poly.const(2, 5), (4, 0): t(2)})
+    for k in range(5):
+        assert restriction(D, k) == applied_restriction(D, k)
+    # words above k reach no basis monomial, and k = 0 keeps only the multiplication
+    assert restriction(DiffOp(1, {(2,): Poly.const(1, 1)}), 1) == JetMap.zero(1, 1)
+    assert restriction(D, 0) == JetMap(2, 0, {(0, 0): Poly.const(2, 5)})
+    assert restriction(DiffOp.zero(3), 2) == JetMap.zero(3, 2)
+    # t1^2*t2 -> 1/2*t1 * 2! * 1! = t1 from the (2, 1) word, plus the lower words
+    assert restriction(D, 3).values[MultiIndex((2, 1))] == t(1) + 2 * t(1) * t(2) * (t(2) - Fraction(2, 3)) + 5 * t(1) * t(1) * t(2)
+
+
 def test_staged_interpolation_uses_residuals():
     # table: 1 -> t1, t1 -> 0 forces a correcting first-order term: f_1 = A(t1) - t1 * A(1)
     A = JetMap(1, 1, {(0,): Poly.variable(1, 1)})

@@ -6,6 +6,10 @@ constructor gives an equal object.  A Poly stores integer numerators
 over one positive denominator in lowest terms (den 1 for zero), and
 shows them as Fractions.  The public entry points take int or Fraction
 coefficients only, and Poly.evaluate int or Fraction coordinates.
+
+Printing reads the integer storage directly.  Its text must be byte
+for byte what the Fraction view gives, which fraction_render_terms and
+fraction_render below work out as the printers used to.
 """
 
 import math
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylcalc.operators import DiffOp, commutator
-from weylcalc.poly import MultiIndex, Poly, reduce_by
+from weylcalc.poly import MultiIndex, Poly, format_power_product, monomials_up_to, reduce_by
 from weylcalc.symbols import SymbolElem
 
 
@@ -125,3 +129,119 @@ def test_entry_points_take_int_or_fraction_only(entry):
     assert build(2) == build(Fraction(4, 2))
     assert build(Fraction(1, 2)) != build(1)
 
+
+
+def fraction_render_terms(terms, prefix):
+    """Test-only oracle: the text of a {I: Fraction} dict, as Poly printed it from its Fraction view.
+
+    Descending graded-lex order, explicit signs, a coefficient of magnitude
+    1 dropped before a monomial, '0' for no terms.
+    """
+    if not terms:
+        return "0"
+    chunks = []
+    for I in sorted(terms, key=lambda I: (-sum(I), tuple(-e for e in I))):
+        c = terms[I]
+        mono = format_power_product(I, prefix)
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        chunks.append(("-" if c < 0 else "+", body))
+    sign, body = chunks[0]
+    out = ("-" + body) if sign == "-" else body
+    for sign, body in chunks[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def fraction_render(D, prefix=None):
+    """Test-only oracle: an operator's or symbol's text from its view terms, one Poly per word."""
+    prefix = prefix or D._prefix
+    one = Poly.const(D.n, 1)
+    out = ""
+    for J in sorted(D.terms, key=lambda J: (-sum(J), tuple(-e for e in J))):
+        f = D.terms[J]
+        word = format_power_product(J, prefix)
+        if not word:
+            body = fraction_render_terms(f.terms, "t")
+        else:
+            body = word if f == one else f"({fraction_render_terms(f.terms, 't')})*{word}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += f" - {body[1:]}"
+        else:
+            out += f" + {body}"
+    return out or "0"
+
+
+def render_coeffs():
+    """Fractions with negative and fractional values, and 1 and -1 often."""
+    return st.one_of(coeffs(), st.sampled_from([1, -1, Fraction(-1, 3), Fraction(7, 2)]))
+
+
+@st.composite
+def render_polys(draw, n=2):
+    """Polys in n variables whose terms may be constants and coefficients may be +-1."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        I = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        terms[I] = draw(render_coeffs())
+    return Poly(n, terms)
+
+
+@st.composite
+def render_diffops(draw):
+    n = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        J = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        terms[J] = draw(st.one_of(render_polys(n), render_coeffs().map(lambda c: Poly.const(n, c))))
+    return DiffOp(n, terms)
+
+
+@st.composite
+def render_symbols(draw):
+    n = draw(st.integers(1, 3))
+    grade = draw(st.integers(0, 2))
+    words = monomials_up_to(n, grade)[-math.comb(n + grade - 1, grade) :]  # the words of degree grade
+    terms = {J: draw(render_polys(n)) for J in draw(st.lists(st.sampled_from(words), max_size=3))}
+    return SymbolElem(n, grade, terms)
+
+
+@given(st.integers(1, 3).flatmap(render_polys))
+def test_poly_text_matches_the_fraction_oracle(p):
+    assert str(p) == fraction_render_terms(p.terms, "t")
+
+
+@given(render_diffops())
+def test_operator_text_matches_the_fraction_oracle(D):
+    assert str(D) == fraction_render(D)
+
+
+@given(render_symbols(), st.sampled_from([None, "x", "xi", "y", "Xi"]))
+def test_symbol_text_matches_the_fraction_oracle(s, prefix):
+    assert s.render(prefix) == fraction_render(s, prefix)
+
+
+def test_text_examples_match_the_fraction_oracle():
+    half = Fraction(1, 2)
+    cases = [
+        Poly(2, {(2, 1): 3, (0, 1): Fraction(-1, 2), (0, 0): 4}),
+        Poly(1, {(0,): Fraction(-6, 4)}),
+        Poly(2, {(1, 0): -1, (0, 1): 1}),
+        DiffOp(2, {(1, 0): Poly.const(2, 1), (0, 1): Poly.const(2, -1), (0, 0): Poly.const(2, half)}),
+        DiffOp(2, {(2, 0): Poly(2, {(1, 0): Fraction(-2, 3), (0, 0): 1}), (0, 0): Poly(2, {(0, 1): -1})}),
+        DiffOp(1, {(0,): Poly.const(1, 1)}),
+    ]
+    for obj in cases:
+        want = fraction_render_terms(obj.terms, "t") if isinstance(obj, Poly) else fraction_render(obj)
+        assert str(obj) == want
+    s = SymbolElem(2, 1, {(1, 0): Poly(2, {(0, 1): Fraction(-3, 7)}), (0, 1): Poly.const(2, 1)})
+    assert s.render("xi") == fraction_render(s, "xi") == "(-3/7*t2)*xi1 + xi2"
+    assert str(cases[0]) == "3*t1^2*t2 - 1/2*t2 + 4"
+    assert str(cases[3]) == "d1 + (-1)*d2 + 1/2"

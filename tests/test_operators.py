@@ -208,6 +208,34 @@ def test_leibniz_oracle_examples():
     assert str(leibniz_compose(third, m1)) == str(third.compose(m1)) == "(1/6*t1)*d1^2 + (1/3)*d1 + (1/2*t1*t2)*d2"
 
 
+def test_compose_with_a_right_factor_without_t():
+    # no t on the right: only K = 0 is live, so composition is the plain product of the two
+    A = DiffOp(2, {(2, 0): Poly(2, {(2, 0): 1}), (1, 1): Poly(2, {(0, 1): Fraction(2, 3)}), (0, 1): Poly.const(2, -1)})
+    B = DiffOp(2, {(1, 0): Poly.const(2, 3), (0, 2): Poly.const(2, Fraction(1, 2)), (0, 0): Poly.const(2, -5)})
+    assert A.compose(B) == leibniz_compose(A, B)
+    assert str(A.compose(B)) == (
+        "(1/2*t1^2)*d1^2*d2^2 + (1/3*t2)*d1*d2^3 + (3*t1^2)*d1^3 + (2*t2)*d1^2*d2 + (-1/2)*d2^3"
+        " + (-5*t1^2)*d1^2 + (-10/3*t2 - 3)*d1*d2 + (5)*d2"
+    )
+    assert B.compose(A) == leibniz_compose(B, A)
+    assert str(B.compose(A)) == (
+        "(1/2*t1^2)*d1^2*d2^2 + (1/3*t2)*d1*d2^3 + (3*t1^2)*d1^3 + (2*t2)*d1^2*d2 + (2/3)*d1*d2^2"
+        " + (-1/2)*d2^3 + (-5*t1^2 + 6*t1)*d1^2 + (-10/3*t2 - 3)*d1*d2 + (5)*d2"
+    )
+
+
+def test_compose_with_a_single_t_on_the_right():
+    # right factor t_j: K runs over 0 and the unit vector of j, as in the commutators of gorder
+    C = DiffOp(2, {(3, 1): Poly.const(2, 1), (2, 0): Poly(2, {(0, 1): Fraction(1, 2)}), (0, 4): t(1)})
+    got = [C.compose(DiffOp.from_poly(t(j))) for j in (1, 2)]
+    assert got == [leibniz_compose(C, DiffOp.from_poly(t(j))) for j in (1, 2)]
+    assert str(got[0]) == "(t1)*d1^3*d2 + (t1^2)*d2^4 + (3)*d1^2*d2 + (1/2*t1*t2)*d1^2 + (t2)*d1"
+    assert str(got[1]) == "(t2)*d1^3*d2 + (t1*t2)*d2^4 + d1^3 + (4*t1)*d2^3 + (1/2*t2^2)*d1^2"
+    assert commutator(C, DiffOp.from_poly(t(1))) == DiffOp(
+        2, {(2, 1): Poly.const(2, 3), (1, 0): t(2)}
+    )
+
+
 def reference_apply(D, p):
     """Test-only oracle: D(p) in Poly arithmetic, word by word, from the view terms.
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from weylcalc.parser import (
     Var,
     _Evaluator,
     _tokenize,
+    check_action,
     check_composition,
     max_index,
     parse_ast,
@@ -223,6 +225,18 @@ def test_composition_check_matches_the_parser():
     check_composition(t1, d)
     with pytest.raises(ParseError, match="the product is too large to expand"):
         check_composition(d, t1)
+
+
+def test_action_check_bounds_apply():
+    D, p = parse_shared(("operator", "(t1+t2+t3+d1+d2+d3)^12"), ("poly", "(t1+t2+t3)^40"))
+    with pytest.raises(ParseError, match="the action is too large to expand"):
+        check_action(D, p)
+    # one pair with a 1000! coefficient is far below the budget, though the product d1^1000*t1^1000 is not
+    d, t1 = parse_shared(("operator", "d1^1000"), ("poly", "t1^1000"))
+    check_action(d, t1)
+    assert d.apply(t1) == Poly.const(1, math.factorial(1000))
+    # a word that no term of p reaches costs nothing
+    check_action(parse_operator("d1^90000*d2^90000 + 7", 2), parse_poly("(t1+t2)^20", 2))
 
 
 def test_shared_parse_infers_one_n():
