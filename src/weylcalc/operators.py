@@ -23,9 +23,10 @@ coefficients; it follows by induction on I from d_i g = g d_i +
 (dg/dt_i).  d_t^K(B) is zero unless K is at most B's componentwise
 largest t-exponent, so compose enumerates K only up to that reach.
 
-apply is one integer loop as well: for each word J of the view terms,
-the numerators of d^J(p) are worked out once and multiplied into every
-numerator of f_J, all over den(D) * den(p).
+apply is one integer loop as well: for each word J of the view terms
+that is at most p's reach, the numerators of d^J(p) are worked out
+once and multiplied into every numerator of f_J, all over
+den(D) * den(p).
 
 Sign convention: the commutator is [A, B] = A B - B A, and with it
 [d_i, t_j] = delta_ij (so [t_i, d_i] = -1).
@@ -37,7 +38,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
-from operator import add, ge, sub
+from operator import add, ge, le, sub
 
 from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, format_power_product, render_numerators
 
@@ -181,6 +182,14 @@ class _NormalForm:
         return self.render()
 
 
+def _reach(keys: Iterable[Sequence[int]]) -> list[int]:
+    """The componentwise largest exponents over keys; [] when there are none.
+
+    d^J kills every term t^I unless J is at most the reach of the I's.
+    """
+    return [max(column) for column in zip(*keys)]
+
+
 def _by_word(n: int, poly: Poly) -> dict[tuple, list[tuple[MultiIndex, int]]]:
     """The (exponents, numerator) pairs of poly, grouped by their last n exponents."""
     groups: dict[tuple, list[tuple[MultiIndex, int]]] = {}
@@ -250,10 +259,13 @@ class DiffOp(_NormalForm):
         new = tuple.__new__
         den = self.poly._den
         items = p._num.items()
+        reach = _reach(p._num)
         acc: dict[MultiIndex, int] = {}
         get = acc.get
         for J, f in self.terms.items():
             if any(J):
+                if not all(map(le, J, reach)):
+                    continue
                 dp = [
                     (tuple(map(sub, I, J)), e * math.prod(map(math.perm, I, J)))
                     for I, e in items
@@ -300,7 +312,7 @@ class DiffOp(_NormalForm):
         a, b = self.poly, other.poly
         if not b:
             return DiffOp._make(n, b)
-        reach = [max(column) for column in zip(*(key[:n] for key in b._num))]
+        reach = _reach(key[:n] for key in b._num)
         # K -> the right terms d_t^K keeps: (exponents less K in both halves, numerator
         # times falling factorials), so that adding a left key gives t^(T+S-K) xi^(X-K+Y)
         derivatives: dict[tuple, list[tuple[tuple, int]]] = {(0,) * n: list(b._num.items())}

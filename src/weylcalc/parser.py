@@ -56,10 +56,10 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, lcm, perm, prod
-from operator import add, ge, sub
+from operator import add, ge, le, sub
 
 from .jets import JetMap
-from .operators import DiffOp
+from .operators import DiffOp, _reach
 from .poly import MultiIndex, Poly
 from .symbols import SymbolElem
 
@@ -264,21 +264,32 @@ class _Parser:
     def factor(self) -> Node:
         tokens = self.tokens
         tok = tokens[self.pos]
-        kind = tok[0]
-        if kind == "var":  # the common atoms are read here, without a primary() call
-            self.pos += 1
-            node = Var(tok[1], tok[3], tok[2])
-        elif kind == "num" and tokens[self.pos + 1][0] != "/":
-            self.pos += 1
-            node = Num(Fraction(int(tok[1])))
+        self.pos += 1
+        kind, text, offset, index = tok
+        if kind == "var":
+            node = Var(text, index, offset)
+        elif kind == "num":
+            if tokens[self.pos][0] == "/":
+                self.pos += 1
+                den = self.positive("expected a positive integer denominator", "denominator must be positive")
+                node = Num(Fraction(int(text), den))
+            else:
+                node = Num(Fraction(int(text)))
         elif kind == "-":
-            self.pos += 1
             self.enter(tok)
             node = Neg(self.factor())
             self.depth -= 1
             return node
+        elif kind == "(":
+            self.enter(tok)
+            node = self.expr()
+            kind, _, offset, _ = tokens[self.pos]
+            if kind != ")":
+                raise ParseError(offset, "expected ')'")
+            self.pos += 1
+            self.depth -= 1
         else:
-            node = self.primary()
+            raise ParseError(offset, "expected a number, a variable, or '('")
         if tokens[self.pos][0] == "^":
             self.pos += 1
             offset = tokens[self.pos][2]
@@ -287,29 +298,6 @@ class _Parser:
                 raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
             node = Pow(node, exponent)
         return node
-
-    def primary(self) -> Node:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        kind, text, offset, index = tok
-        if kind == "num":
-            if self.tokens[self.pos][0] == "/":
-                self.pos += 1
-                den = self.positive("expected a positive integer denominator", "denominator must be positive")
-                return Num(Fraction(int(text), den))
-            return Num(Fraction(int(text)))
-        if kind == "var":
-            return Var(text, index, offset)
-        if kind == "(":
-            self.enter(tok)
-            node = self.expr()
-            kind, _, offset, _ = self.tokens[self.pos]
-            if kind != ")":
-                raise ParseError(offset, "expected ')'")
-            self.pos += 1
-            self.depth -= 1
-            return node
-        raise ParseError(offset, "expected a number, a variable, or '('")
 
     def positive(self, expected: str, too_small: str) -> int:
         kind, text, offset, _ = self.tokens[self.pos]
@@ -391,8 +379,6 @@ class _Evaluator:
                     polys.append(part)
         if not terms and len(polys) == 1:
             return polys[0]
-        if not polys and len(terms) == 1:
-            return _term(*terms[0])
         # all parts at once over one denominator: pairwise + would be quadratic in long sums
         den = lcm(*(part._den for part in polys), *(c.denominator for _, c in terms))
         acc: dict[MultiIndex, int] = {}
@@ -656,14 +642,18 @@ def check_action(D: DiffOp, p: Poly) -> None:
     are the sum over words J of |f_J| times the count of such I.
     d^J(t^I) multiplies a coefficient by perm(I, J) = I!/(I-J)!, so the
     bits are those of D and p plus the most bits of perm(I, J) over
-    those pairs.  The estimate only grows, so it is refused as soon as
-    it passes the budget.
+    those pairs.  A word above p's reach meets no term and is skipped
+    unscanned, as apply skips it.  The estimate only grows, so it is
+    refused as soon as it passes the budget.
     """
     n = D.n
     words = Counter(key[n:] for key in D.poly._num)
     base = _coefficient_bits(D.poly) + _coefficient_bits(p)
+    reach = _reach(p._num)
     terms = grow = 0
     for J, a in words.items():
+        if not all(map(le, J, reach)):
+            continue
         for I in p._num:
             if all(map(ge, I, J)):
                 terms += a

@@ -235,6 +235,17 @@ def test_processes_never_print_a_traceback(argv):
     check_outcome(argv, proc.returncode, proc.stdout, proc.stderr)
 
 
+def test_apply_skips_words_beyond_the_polynomial_reach_as_a_process():
+    # 4960 words in d71..d100 against 4960 terms in t1..t30: no pair meets, and a scan
+    # of every pair, in the size check or in apply, takes over a minute; skipped, about 1 s
+    words = "(" + "+".join(f"d{i}" for i in range(71, 101)) + ")^3"
+    terms = "(" + "+".join(f"t{i}" for i in range(1, 31)) + ")^3"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylcalc", "apply", words, terms], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
 def test_construct_refuses_a_large_degree_as_a_process(tmp_path):
     path = tmp_path / "table.jets"
     path.write_text("1,0 -> t2\n", encoding="utf-8")
