@@ -84,7 +84,8 @@ def grothendieck_order(D: DiffOp) -> int | None:
 
 def is_derivation(D: DiffOp) -> bool:
     """Is D a polynomial vector field (every derivative word of length 1)?"""
-    return all(J.degree == 1 for J in D.terms)
+    n = D.n
+    return all(sum(key[n:]) == 1 for key in D.poly._num)
 
 
 def split_order_one(D: DiffOp) -> tuple[DiffOp, Poly]:

@@ -133,18 +133,25 @@ def _trial_rng(cfg: GenConfig, law: str, trial: int) -> random.Random:
 # instance generators
 
 
-def gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
+def _rational_pair(rng: random.Random, bound: int, nonzero: bool) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of a rational within the bound."""
     num = rng.randint(1, bound) if nonzero else rng.randint(0, bound)
     if num and rng.random() < 0.5:
         num = -num
-    return Fraction(num, rng.randint(1, bound))
+    den = rng.randint(1, bound)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
+    return Fraction(*_rational_pair(rng, bound, nonzero))
 
 
 def _spread(rng: random.Random, n: int, degree: int) -> MultiIndex:
     exps = [0] * n
     for _ in range(degree):
         exps[rng.randrange(n)] += 1
-    return MultiIndex(exps)
+    return MultiIndex._make(exps)
 
 
 def gen_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
@@ -155,14 +162,17 @@ def gen_poly(cfg: GenConfig, rng: random.Random, nonzero: bool = False) -> Poly:
     """Sparse polynomial, at most 3 monomials, coefficients within the bound.
 
     Colliding monomial draws overwrite instead of accumulating, so every
-    surviving coefficient still satisfies the magnitude bound.
+    surviving coefficient still satisfies the magnitude bound.  Each
+    coefficient is drawn, as reduced integers, before its monomial: the
+    right-hand side of the assignment is evaluated first.
     """
-    terms: dict[MultiIndex, Fraction] = {}
+    terms: dict[MultiIndex, tuple[int, int]] = {}
     for _ in range(rng.randint(1 if nonzero else 0, 3)):
-        terms[gen_multiindex(rng, cfg.n, cfg.max_coeff_degree)] = gen_rational(
+        terms[gen_multiindex(rng, cfg.n, cfg.max_coeff_degree)] = _rational_pair(
             rng, cfg.coeff_bound, nonzero=True
         )
-    return Poly(cfg.n, terms)
+    den = math.lcm(*(q for _, q in terms.values()))
+    return Poly._make(cfg.n, {I: p * (den // q) for I, (p, q) in terms.items()}, den)
 
 
 def gen_nonconstant_poly(cfg: GenConfig, rng: random.Random) -> Poly:
@@ -237,13 +247,45 @@ def _law_filtration_additivity(cfg: GenConfig, rng: random.Random, trial: int) -
     return None
 
 
+def _poisson(s: SymbolElem, u: SymbolElem) -> SymbolElem:
+    """The Poisson bracket sum over i of (d_xi_i(s) d_t_i(u) - d_t_i(s) d_xi_i(u))."""
+    n, a, b = s.n, s.poly, u.poly
+    out = Poly.zero(2 * n)
+    for i in range(1, n + 1):
+        out = out + a.partial(n + i) * b.partial(i) - a.partial(i) * b.partial(n + i)
+    return SymbolElem._make(n, out, s.grade + u.grade - 1)
+
+
 def _law_commutator_drop(cfg: GenConfig, rng: random.Random, trial: int) -> str | None:
+    """[D1, D2] has order at most j + k - 1, acts as D1 D2 - D2 D1, and has symbol {s1, s2}.
+
+    The order bound alone passes a commutator that keeps too few of its
+    terms, so two checks follow, each independent of the star-product
+    loop that commutator shares with compose: on three polynomials the
+    commutator must act as D1(D2(p)) - D2(D1(p)), with apply alone; and
+    its grade j + k - 1 part must be the Poisson bracket of the
+    principal symbols, with Poly.partial alone.  Both draw after D1 and
+    D2, so the operators are those the order check always drew.
+    """
     D1 = gen_diffop(cfg, rng)
     D2 = gen_diffop(cfg, rng)
-    bound = (D1.order or 0) + (D2.order or 0) - 1
-    got = commutator(D1, D2).order
+    j, k = D1.order or 0, D2.order or 0
+    bound = j + k - 1
+    C = commutator(D1, D2)
+    got = C.order
     if got is not None and got > bound:
         return f"D1 = {D1}; D2 = {D2}; commutator has order {got}, bound {bound}"
+    for _ in range(3):
+        p = gen_poly(cfg, rng)
+        lhs = C.apply(p)
+        rhs = D1.apply(D2.apply(p)) - D2.apply(D1.apply(p))
+        if lhs != rhs:
+            return f"D1 = {D1}; D2 = {D2}; p = {p}; [D1, D2](p) = {lhs} but D1(D2(p)) - D2(D1(p)) = {rhs}"
+    if bound >= 0:
+        lhs = principal_symbol(C, bound)
+        rhs = _poisson(principal_symbol(D1, j), principal_symbol(D2, k))
+        if lhs != rhs:
+            return f"D1 = {D1}; D2 = {D2}; symbol of the commutator is {lhs}, Poisson bracket of the symbols is {rhs}"
     return None
 
 

@@ -23,13 +23,21 @@ coefficients; it follows by induction on I from d_i g = g d_i +
 (dg/dt_i).  d_t^K(B) is zero unless K is at most B's componentwise
 largest t-exponent, so compose enumerates K only up to that reach.
 
-apply is one integer loop as well: for each word J of the view terms
+Sign convention: the commutator is [A, B] = A B - B A, and with it
+[d_i, t_j] = delta_ij (so [t_i, d_i] = -1).  The K = 0 term of the
+star product is the commuting product of the two Polys, the same in
+A * B as in B * A, so it cancels from the commutator:
+
+    [A, B] = sum over K != 0 of (1/K!) * (d_xi^K(A) * d_t^K(B) - d_xi^K(B) * d_t^K(A)).
+
+commutator adds these terms of both halves into one integer dict and
+never forms the K = 0 products, which are most of the work of the two
+compositions.
+
+apply is one integer loop as well: for each word J of the operator
 that is at most p's reach, the numerators of d^J(p) are worked out
 once and multiplied into every numerator of f_J, all over
 den(D) * den(p).
-
-Sign convention: the commutator is [A, B] = A B - B A, and with it
-[d_i, t_j] = delta_ij (so [t_i, d_i] = -1).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import add, ge, le, sub
 
 from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, format_power_product, render_numerators
@@ -255,14 +263,13 @@ class DiffOp(_NormalForm):
         if p.n != self.n:
             raise ValueError(f"operator in {self.n} variables applied to polynomial in {p.n}")
         # for each word J: the numerators of d^J(p), keyed by exponents less J, then
-        # each times every coefficient numerator of f_J, added into one integer dict
+        # each times every numerator of f_J (already over den(D)), added into one integer dict
         new = tuple.__new__
-        den = self.poly._den
         items = p._num.items()
         reach = _reach(p._num)
         acc: dict[MultiIndex, int] = {}
         get = acc.get
-        for J, f in self.terms.items():
+        for J, group in _by_word(self.n, self.poly).items():
             if any(J):
                 if not all(map(le, J, reach)):
                     continue
@@ -275,13 +282,12 @@ class DiffOp(_NormalForm):
                 dp = items
             if not dp:
                 continue
-            scale = den // f._den
-            for T, c in f._num.items():
-                c *= scale
+            for M, c in group:
                 for R, v in dp:
-                    key = new(MultiIndex, map(add, T, R))
+                    # map stops at the end of R, so only the t-half of M is added
+                    key = new(MultiIndex, map(add, M, R))
                     acc[key] = get(key, 0) + c * v
-        return Poly._make(self.n, {key: c for key, c in acc.items() if c}, den * p._den)
+        return Poly._make(self.n, {key: c for key, c in acc.items() if c}, self.poly._den * p._den)
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)
@@ -295,49 +301,14 @@ class DiffOp(_NormalForm):
         return NotImplemented
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal form of self after other (self acting second): the star product.
-
-        The left terms are grouped by word X.  For each K <= X, every
-        left term t^T xi^X, times binom(X, K), meets d_t^K of every
-        right term t^S xi^Y, and the products are added into one
-        integer dict.  d_t^K kills every right term unless K is at most
-        the reach, the right factor's componentwise largest t-exponent,
-        so K runs over K <= min(X, reach) only; at K = 0 the right terms
-        are used as they stand.
-        """
+        """Normal form of self after other (self acting second): the star product (see _add_star)."""
         if other.n != self.n:
             raise ValueError(f"mixing operators in {self.n} and {other.n} variables")
         n = self.n
-        new = tuple.__new__
         a, b = self.poly, other.poly
-        if not b:
-            return DiffOp._make(n, b)
-        reach = _reach(key[:n] for key in b._num)
-        # K -> the right terms d_t^K keeps: (exponents less K in both halves, numerator
-        # times falling factorials), so that adding a left key gives t^(T+S-K) xi^(X-K+Y)
-        derivatives: dict[tuple, list[tuple[tuple, int]]] = {(0,) * n: list(b._num.items())}
         acc: dict[MultiIndex, int] = {}
-        get = acc.get
-        for X, left in _by_word(n, a).items():
-            for K in product(*[range(min(x, r) + 1) for x, r in zip(X, reach)]):
-                right = derivatives.get(K)
-                if right is None:
-                    both = (*K, *K)
-                    right = derivatives[K] = [
-                        (tuple(map(sub, N, both)), d * math.prod(map(math.perm, N, K)))
-                        for N, d in b._num.items()
-                        if all(map(ge, N, K))
-                    ]
-                if not right:
-                    continue
-                coeff = math.prod(map(_binom, X, K))
-                for M, c in left:
-                    c *= coeff
-                    for N, d in right:
-                        key = new(MultiIndex, map(add, M, N))
-                        acc[key] = get(key, 0) + c * d
-        num = {key: c for key, c in acc.items() if c}
-        return DiffOp._make(n, Poly._make(2 * n, num, a._den * b._den))
+        _add_star(n, a, b, 1, False, acc)
+        return DiffOp._make(n, Poly._make(2 * n, {key: c for key, c in acc.items() if c}, a._den * b._den))
 
     def __pow__(self, k: int) -> "DiffOp":
         if k < 0:
@@ -355,6 +326,61 @@ class DiffOp(_NormalForm):
         return f"DiffOp({self.n}: {self})"
 
 
+def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[MultiIndex, int]) -> None:
+    """Add sign times the numerators of the star product a * b into acc, over a._den * b._den.
+
+    The left terms are grouped by word X.  For each K <= X, every left
+    term t^T xi^X, times binom(X, K), meets d_t^K of every right term
+    t^S xi^Y, and the products are added into acc.  d_t^K kills every
+    right term unless K is at most the reach, the right factor's
+    componentwise largest t-exponent, so K runs over K <= min(X, reach)
+    only.  skip_zero leaves out K = 0, the commuting product of a and b,
+    which comes first in product order.
+    """
+    if not b:
+        return
+    new = tuple.__new__
+    reach = _reach(key[:n] for key in b._num)
+    # K -> the right terms d_t^K keeps: (exponents less K in both halves, numerator
+    # times falling factorials), so that adding a left key gives t^(T+S-K) xi^(X-K+Y);
+    # at K = 0 the right terms are used as they stand
+    derivatives: dict[tuple, Iterable[tuple[tuple, int]]] = {(0,) * n: b._num.items()}
+    get = acc.get
+    for X, left in _by_word(n, a).items():
+        for K in islice(product(*[range(min(x, r) + 1) for x, r in zip(X, reach)]), int(skip_zero), None):
+            right = derivatives.get(K)
+            if right is None:
+                both = (*K, *K)
+                right = derivatives[K] = [
+                    (tuple(map(sub, N, both)), d * math.prod(map(math.perm, N, K)))
+                    for N, d in b._num.items()
+                    if all(map(ge, N, K))
+                ]
+            if not right:
+                continue
+            coeff = sign * math.prod(map(_binom, X, K))
+            for M, c in left:
+                c *= coeff
+                for N, d in right:
+                    key = new(MultiIndex, map(add, M, N))
+                    acc[key] = get(key, 0) + c * d
+
+
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """[a, b] = a b - b a."""
-    return a.compose(b) - b.compose(a)
+    """[a, b] = a b - b a, from the star product's K != 0 terms alone.
+
+    The K = 0 term of a * b is the commuting product of the two Polys,
+    the same as that of b * a, so it cancels and is never formed:
+
+        [a, b] = sum over K != 0 of (1/K!) (d_xi^K(a) d_t^K(b) - d_xi^K(b) d_t^K(a)).
+
+    Both halves are added into one integer dict over den(a) * den(b).
+    """
+    if b.n != a.n:
+        raise ValueError(f"mixing operators in {a.n} and {b.n} variables")
+    n = a.n
+    acc: dict[MultiIndex, int] = {}
+    _add_star(n, a.poly, b.poly, 1, True, acc)
+    _add_star(n, b.poly, a.poly, -1, True, acc)
+    num = {key: c for key, c in acc.items() if c}
+    return DiffOp._make(n, Poly._make(2 * n, num, a.poly._den * b.poly._den))

@@ -448,6 +448,8 @@ class _Evaluator:
             done = self.mul(done, factor)
         if done is None:
             return exps, c
+        if c == 1 and not any(exps):
+            return done
         return self.mul(done, _term(exps, c))
 
     def slot(self, var: Var) -> int:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,16 @@ from weylcalc.laws import (
     LawReport,
     MAX_COUNTEREXAMPLES,
     _trial_rng,
+    gen_derivation,
     gen_diffop,
+    gen_point,
     gen_poly,
     gen_rational,
     gen_symbol,
     run_all,
     run_law,
 )
+from weylcalc.operators import DiffOp
 from weylcalc.parser import MAX_JET_BASIS
 from weylcalc.poly import Poly
 
@@ -177,3 +182,54 @@ def test_weyl_relations_draw_a_new_instance_each_trial(monkeypatch):
     assert report.failure_count == 20
     drawn = {line.split(": ", 1)[1].split(";")[0] for line in report.failures}
     assert len(drawn) == MAX_COUNTEREXAMPLES
+
+
+def test_the_instance_stream_is_pinned():
+    # every law draws its instances from these generators, so a rewrite of them
+    # must leave the rendered instances, and the draws they consume, unchanged
+    digest = hashlib.sha256()
+    for cfg in (ACCEPTANCE_CONFIG, GenConfig(n=1, max_order=4, coeff_bound=7)):
+        for seed in range(40):
+            rng = random.Random(seed)
+            items = [
+                gen_diffop(cfg, rng),
+                gen_poly(cfg, rng),
+                gen_poly(cfg, rng, nonzero=True),
+                gen_symbol(cfg, rng),
+                gen_derivation(cfg, rng),
+                gen_diffop(cfg, rng, order=1),
+            ]
+            text = "; ".join(map(str, items)) + f"; {gen_point(cfg, rng)}; {rng.random()!r}\n"
+            digest.update(text.encode())
+    assert digest.hexdigest() == "a84bcc938fddd67bd6da36ced3a860d43259ae3f8cffc2b41f8a055a05ddfc4c"
+
+
+def _truncated_commutator(a, b):
+    # only the |K| = 1 terms of the star product: right order and symbol, wrong action
+    n, s, u = a.n, a.poly, b.poly
+    out = Poly.zero(2 * n)
+    for i in range(1, n + 1):
+        out = out + s.partial(n + i) * u.partial(i) - u.partial(n + i) * s.partial(i)
+    return DiffOp._make(n, out)
+
+
+def _sign_flipped_commutator(a, b):
+    # the K != 0 terms of a b plus those of b a: the K = 0 term is the commuting product
+    return a.compose(b) + b.compose(a) - DiffOp._make(a.n, a.poly * b.poly).scale(2)
+
+
+@pytest.mark.parametrize("broken", [_truncated_commutator, _sign_flipped_commutator])
+def test_commutator_drop_catches_a_wrong_commutator(monkeypatch, broken):
+    monkeypatch.setattr(weylcalc.laws, "commutator", broken)
+    report = run_law("commutator-drop", ACCEPTANCE_CONFIG)
+    assert report.failure_count > 0
+    assert "D1 =" in report.failures[0]
+
+
+def test_commutator_drop_catches_a_skewed_binomial(monkeypatch):
+    def skewed(a, b):
+        c = math.comb(a, b)
+        return c + 1 if 0 < b < a else c
+
+    monkeypatch.setattr(weylcalc.operators, "_binom", skewed)
+    assert run_law("commutator-drop", ACCEPTANCE_CONFIG).failure_count > 0

@@ -199,6 +199,19 @@ def test_compose_matches_leibniz_oracle(A, B):
     assert A.compose(B) == leibniz_compose(A, B)
 
 
+@given(any_ops(), any_ops())
+def test_commutator_is_the_difference_of_the_two_compositions(A, B):
+    assert commutator(A, B) == A.compose(B) - B.compose(A)
+
+
+def test_commutator_of_zero_and_of_mismatched_operators():
+    A = DiffOp(2, {(2, 1): t(1) * t(2), (0, 0): Poly.const(2, Fraction(1, 3))})
+    zero = DiffOp.zero(2)
+    assert commutator(A, zero) == commutator(zero, A) == commutator(zero, zero) == zero
+    with pytest.raises(ValueError, match="mixing operators in 2 and 3 variables"):
+        commutator(A, DiffOp.partial(3, 1))
+
+
 def test_leibniz_oracle_examples():
     d1 = DiffOp.partial(2, 1)
     m1 = DiffOp.from_poly(Poly(2, {(1, 0): Fraction(1, 2)}))

@@ -618,3 +618,25 @@ def test_nodes_compare_and_print_like_dataclasses():
         "Sub(left=Neg(inner=Pow(base=Var(prefix='t', index=1, offset=1), exponent=2)), "
         "right=Num(value=Fraction(2, 1)))"
     )
+
+
+def test_a_finished_product_is_not_multiplied_by_one(monkeypatch):
+    # the pending term of a product chain is 1 once every factor is done; multiplying
+    # by it would charge check_product a pass over every word of the product
+    units = []
+    checks = []
+    inner = _Evaluator.check_product
+
+    def counted(self, left, right):
+        checks.append(len(left._num))
+        if right == Poly.const(right.n, 1):
+            units.append(len(left._num))
+        return inner(self, left, right)
+
+    monkeypatch.setattr(_Evaluator, "check_product", counted)
+    big = "(" + "+".join(f"d{i}" for i in range(51, 101)) + ")^3"
+    assert len(parse_operator(big, 100).poly._num) == 22100
+    assert checks == []
+    for src in ["(t1+d1)^2*t2", "2*(t1+d1)*d2^2", "(t1+d2)*(d1+t2)", "-(t1+d1)^2", "t1*(d1+t2)*3"]:
+        parse_operator(src, 2)
+    assert units == [] and len(checks) > 0
