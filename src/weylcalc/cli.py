@@ -12,16 +12,14 @@ import sys
 from collections.abc import Callable
 
 from .grothendieck import grothendieck_order, split_order_one
-from .operators import commutator
 from .parser import (
     MAX_INDEX,
     ParseError,
-    check_action,
-    check_composition,
     check_xi_prefix,
+    parse_action,
+    parse_commutator,
     parse_jet_map,
     parse_operator,
-    parse_shared,
     parse_symbol,
 )
 from .symbols import principal_symbol, quantize
@@ -50,18 +48,12 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
-    D, p = parse_shared(("operator", args.expr), ("poly", args.poly), n=args.vars)
-    check_action(D, p)
-    q = D.apply(p)
+    q = parse_action(args.expr, args.poly, n=args.vars)
     return _print(lambda: str(q))
 
 
 def _cmd_comm(args: argparse.Namespace) -> int:
-    A, B = parse_shared(("operator", args.left), ("operator", args.right), n=args.vars)
-    # both products are estimated as the parser estimates a product in an expression
-    check_composition(A, B)
-    check_composition(B, A)
-    C = commutator(A, B)
+    C = parse_commutator(args.left, args.right, n=args.vars)
     return _print(lambda: str(C))
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .grothendieck import grothendieck_order, is_derivation, split_order_one
 from .jets import JetMap, from_jet_map, restriction
-from .operators import DiffOp, commutator
+from .operators import DiffOp, _words_poly, commutator
 from .parser import MAX_JET_BASIS
 from .poly import MultiIndex, Poly, monomials_up_to, reduce_by
 from .symbols import SymbolElem, principal_symbol, quantize, symbol_mul
@@ -198,14 +198,14 @@ def gen_diffop(cfg: GenConfig, rng: random.Random, order: int | None = None) -> 
         f = gen_poly(cfg, rng)
         if J not in terms and f:
             terms[J] = f
-    return DiffOp(cfg.n, terms)
+    return DiffOp._make(cfg.n, _words_poly(cfg.n, terms.items()))
 
 
 def gen_derivation(cfg: GenConfig, rng: random.Random) -> DiffOp:
     coeffs = [gen_poly(cfg, rng) for _ in range(cfg.n)]
     if not any(coeffs):
         coeffs[rng.randrange(cfg.n)] = gen_poly(cfg, rng, nonzero=True)
-    return DiffOp.from_vector_field(coeffs)
+    return DiffOp._make(cfg.n, _words_poly(cfg.n, [(MultiIndex.unit(cfg.n, i + 1), a) for i, a in enumerate(coeffs)]))
 
 
 def gen_symbol(cfg: GenConfig, rng: random.Random, grade: int | None = None) -> SymbolElem:
@@ -214,7 +214,7 @@ def gen_symbol(cfg: GenConfig, rng: random.Random, grade: int | None = None) -> 
     terms: dict[MultiIndex, Poly] = {}
     for _ in range(rng.randint(1, 3)):
         terms[_spread(rng, cfg.n, grade)] = gen_poly(cfg, rng, nonzero=True)
-    return SymbolElem(cfg.n, grade, terms)
+    return SymbolElem._make(cfg.n, _words_poly(cfg.n, terms.items()), grade)
 
 
 # ---------------------------------------------------------------------------

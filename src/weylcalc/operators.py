@@ -88,18 +88,8 @@ class _NormalForm:
             if f.n != n:
                 raise ValueError(f"{self._noun} in {n} variables with a coefficient in {f.n}")
             pairs.append((ix, f))
-        # every coefficient over the lcm of their denominators, added per (t, y) exponent
-        den = math.lcm(*(f._den for _, f in pairs))
-        new = tuple.__new__
-        acc: dict[MultiIndex, int] = {}
-        get = acc.get
-        for J, f in pairs:
-            scale = den // f._den
-            for M, c in f._num.items():
-                key = new(MultiIndex, (*M, *J))
-                acc[key] = get(key, 0) + c * scale
         self.n = n
-        self.poly = Poly._make(2 * n, {key: c for key, c in acc.items() if c}, den)
+        self.poly = _words_poly(n, pairs)
         self._grade = grade
         self._terms = None
 
@@ -188,6 +178,25 @@ class _NormalForm:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _words_poly(n: int, pairs: Iterable[tuple[MultiIndex, Poly]]) -> Poly:
+    """The Poly in 2n variables of the terms f_J * y^J, unchecked: each J a MultiIndex of length n, f_J a Poly in n.
+
+    Every coefficient goes over the lcm of their denominators and is
+    added per (t, y) exponent, so repeated words are summed.
+    """
+    pairs = list(pairs)
+    den = math.lcm(*(f._den for _, f in pairs))
+    new = tuple.__new__
+    acc: dict[MultiIndex, int] = {}
+    get = acc.get
+    for J, f in pairs:
+        scale = den // f._den
+        for M, c in f._num.items():
+            key = new(MultiIndex, (*M, *J))
+            acc[key] = get(key, 0) + c * scale
+    return Poly._make(2 * n, {key: c for key, c in acc.items() if c}, den)
 
 
 def _reach(keys: Iterable[Sequence[int]]) -> list[int]:

@@ -17,11 +17,11 @@ symbols t and the xi prefix (x by default).  Numbers and indices are
 written in decimal digits, at most MAX_DIGITS of them; other numeric
 characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
 parentheses and unary minus nest at most MAX_NESTING deep.  Exponents
-go up to MAX_EXPONENT, and a power or a product whose estimated size
-(terms times coefficient bits) is over MAX_POWER_BITS is refused before
-it is expanded; check_action estimates an operator applied to a
-polynomial against the same budget.  A jet table's basis holds at most
-MAX_JET_BASIS monomials.
+go up to MAX_EXPONENT.  Every product and power in an expression, and
+the two products of parse_commutator and the action of parse_action,
+is sized by one rule before any of it is computed, and refused if its
+terms times coefficient bits could be over MAX_POWER_BITS.  A jet
+table's basis holds at most MAX_JET_BASIS monomials.
 
 Text becomes a tree in two stages: one regular-expression scan into
 tokens, then recursive descent over the grammar.  Sum and product
@@ -38,13 +38,29 @@ folds left to right into one term: a number multiplies c, an atom
 t_i^k or y_i^k adds k to its exponent, and a right factor c * d^b just
 shifts the words on its left.  A chain of atoms alone stays that one
 term, (exponents, coefficient), and the sum adds it into its integer
-dict over the lcm of all denominators, with no one-term Poly.  Every
-other product is estimated against MAX_POWER_BITS first.  Where a t_i
-follows a d_i, or a compound factor meets the derivatives on its left,
-DiffOp.compose reorders the product; otherwise it is the Poly product,
-as it always is for symbols and polynomials.  Powers are the kernel's powers.  Sums and product
-chains are walked with an explicit stack, so a sum of any length needs
-no recursion.
+dict over the lcm of all denominators, with no one-term Poly.  Sums and
+product chains are walked with an explicit stack, so a sum of any
+length needs no recursion.
+
+The evaluator works in two passes.  The first computes every part that
+multiplies nothing but atoms, as above, and turns each other product,
+power and sum into a plan that carries its shape: an upper bound on its
+terms, on its coefficients (the sum of |numerators| and a denominator,
+as exact integers), on its exponents and degrees, and a progression
+that holds its t- less y-degrees and keeps their parity.  The shape of
+a product comes from the star product's rule: the degrees add, the t-
+less y-degrees add, and a left word y^X meets a right t^S in one term
+for each K <= X, S.  Read off a computed value, a shape counts the
+terms by word and power, so that B^2 and B*B, for B = t1*d2 + t2*d3 +
+... + t30*d1, are both sized from the terms of B; a shape above that
+keeps only the reach.  A power is the k-fold product under the same
+rule, iterated for a base in which a d_i meets a t_i, in closed form
+otherwise; an action D(p) is the y-degree-0 slice of the product
+D * p.  A plan over the budget is refused at once.  The second pass
+computes the plans with no checks: where a t_i follows a d_i, or a
+compound factor meets the derivatives on its left, DiffOp.compose
+reorders the product; otherwise it is the Poly product, as it always
+is for symbols and polynomials.
 
 Errors carry the 1-based byte offset of the offending token; semantic
 errors that have no single position carry offset None.
@@ -53,13 +69,14 @@ errors that have no single position carry offset None.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import reduce
 from fractions import Fraction
-from math import comb, lcm, perm, prod
-from operator import add, ge, le, sub
+from math import comb, gcd, lcm, prod
+from operator import add, itemgetter, le, sub
 
 from .jets import JetMap
-from .operators import DiffOp, _reach
+from .operators import DiffOp, _reach, commutator
 from .poly import MultiIndex, Poly
 from .symbols import SymbolElem
 
@@ -172,11 +189,12 @@ Node = Num | Var | Neg | Pow | Add | Sub | Mul
 # operator character itself, and index is the variable index (0 otherwise).
 Token = tuple[str, str, int, int]
 
-# After optional whitespace, one of: decimal digits, a letter run with the
-# decimal digits after it, an operator, any other character, the end.  \d is
-# exactly what int() reads; the letter class also takes numeric characters
-# such as '²' and '½', which _variable rejects.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]+)(\d*)|([-+*^/()])|(.)|\Z)", re.DOTALL)
+# After optional whitespace, one of: a number of at most MAX_DIGITS digits, a
+# letter run with the decimal digits after it, an operator, a longer number,
+# any other character, the end.  \d is exactly what int() reads; the letter
+# class also takes numeric characters such as '²' and '½', which _bad_variable
+# rejects.
+_TOKEN = re.compile(rf"\s*(?:(\d{{1,{MAX_DIGITS}}})(?!\d)|([^\W\d_]+)(\d*)|([-+*^/()])|(\d+)|(.)|\Z)", re.DOTALL)
 
 
 def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
@@ -187,17 +205,22 @@ def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
         if group == 4:
             append((m[4], m[4], m.end(), 0))
         elif group == 1:
-            _check_length(m[1], m.start(1) + 1)
             append(("num", m[1], m.start(1) + 1, 0))
         elif group == 3:
-            append(_variable(m[2], m[3], m.start(2) + 1, prefixes))
+            word, digits = m[2], m[3]
+            if not (word in prefixes and 0 < len(digits) <= MAX_DIGITS and 0 < (index := int(digits)) <= MAX_INDEX):
+                _bad_variable(word, digits, m.start(2) + 1, prefixes)
+            append(("var", word, m.start(2) + 1, index))
         elif group == 5:
-            raise ParseError(m.end(), f"unexpected character {m[5]!r}")
+            raise ParseError(m.start(5) + 1, f"number longer than {MAX_DIGITS} digits")
+        elif group == 6:
+            raise ParseError(m.end(), f"unexpected character {m[6]!r}")
     append(("eof", "", len(src) + 1, 0))
     return tokens
 
 
-def _variable(word: str, digits: str, offset: int, prefixes: frozenset[str]) -> Token:
+def _bad_variable(word: str, digits: str, offset: int, prefixes: frozenset[str]) -> None:
+    """Raise the error for a letter run and the digits after it that do not make a variable."""
     stray = None
     if not word.isalpha():  # the letters end at a numeric character such as '²'
         cut = next(i for i, ch in enumerate(word) if not ch.isalpha())
@@ -212,18 +235,11 @@ def _variable(word: str, digits: str, offset: int, prefixes: frozenset[str]) -> 
         if stray is not None and stray[1].isdigit():
             raise ParseError(stray[0], f"unexpected character {stray[1]!r}")
         raise ParseError(offset, f"variable {word!r} needs a numeric index")
-    _check_length(digits, offset + len(word))
-    index = int(digits)
-    if index < 1:
-        raise ParseError(offset, "variable index must be at least 1")
-    if index > MAX_INDEX:
-        raise ParseError(offset, f"variable index {index} exceeds {MAX_INDEX}")
-    return ("var", word, offset, index)
-
-
-def _check_length(digits: str, offset: int) -> None:
     if len(digits) > MAX_DIGITS:
-        raise ParseError(offset, f"number longer than {MAX_DIGITS} digits")
+        raise ParseError(offset + len(word), f"number longer than {MAX_DIGITS} digits")
+    if int(digits) < 1:
+        raise ParseError(offset, "variable index must be at least 1")
+    raise ParseError(offset, f"variable index {int(digits)} exceeds {MAX_INDEX}")
 
 
 class _Parser:
@@ -339,25 +355,40 @@ def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> 
     return best
 
 
+# An upper bound on a value that is not computed yet: at most terms terms,
+# whose numerators over den (a multiple of the true denominator) add up to at
+# most num in absolute value.  reach bounds each exponent; tdeg, ddeg and deg
+# bound a term's t-, y- and total degree; every t- less y-degree of a term is
+# among lo, lo + step, ..., hi for gaps = (lo, hi, step), which keeps their
+# parity.  keys holds the terms' exponents where the shape is read off a value.
+_Shape = namedtuple("_Shape", "terms num den reach tdeg ddeg deg gaps keys", defaults=(None,))
+# A product chain (op "mul", args its factors), a power (op "pow", args (base,
+# k)) or a sum (op "sum", args its parts) that is sized but not computed.  A
+# sum's shape is worked out only when the sum is a factor.
+_Plan = namedtuple("_Plan", "op args shape")
+
+
 class _Evaluator:
     """Evaluates a tree in t1..tn and y1..yn, y named by the prefix second.
 
     Every value is a Poly in the kernel's integer form: in n variables
     for polynomials (second is None), else in 2n with y_i in slot n+i.
-    reorder says that y_i = d_i does not commute with t_i.  Every
-    product and power is estimated against MAX_POWER_BITS before it is
-    expanded.
+    reorder says that y_i = d_i does not commute with t_i.  sum turns a
+    tree into a plan: product-free parts are computed at once, and every
+    product and power is sized by its shape, and refused if that is over
+    MAX_POWER_BITS, before anything is multiplied.  value then computes
+    the plan with no further checks.
     """
 
     def __init__(self, n: int, second: str | None, reorder: bool):
-        self.n = n
-        self.second = second
+        self.n, self.second, self.reorder = n, second, reorder
         self.width = n if second is None else 2 * n
-        self.reorder = reorder
 
-    def sum(self, node: Node) -> Poly:
-        polys: list[Poly] = []
-        terms: list[tuple[list[int], int | Fraction]] = []
+    def run(self, node: Node) -> Poly:
+        return self.value(self.sum(node))
+
+    def sum(self, node: Node) -> Poly | _Plan:
+        polys, terms, plans = [], [], []  # Polys, (exponents, coefficient) terms, and plans
         stack = [(node, 1)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -373,10 +404,12 @@ class _Evaluator:
                 push((node.inner, -sign))
             else:
                 part = self.product(node, sign)
-                if type(part) is tuple:
-                    terms.append(part)
-                else:
-                    polys.append(part)
+                (terms if type(part) is tuple else plans if type(part) is _Plan else polys).append(part)
+        value = self.add(polys, terms)
+        return _Plan("sum", [value, *plans] if value else plans, None) if plans else value
+
+    def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
+        """The sum of the Polys and the terms (exponents, coefficient)."""
         if not terms and len(polys) == 1:
             return polys[0]
         # all parts at once over one denominator: pairwise + would be quadratic in long sums
@@ -393,17 +426,18 @@ class _Evaluator:
             acc[key] = get(key, 0) + c.numerator * (den // c.denominator)
         return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
 
-    def product(self, node: Node, c: int | Fraction) -> Poly | tuple[list[int], int | Fraction]:
+    def product(self, node: Node, c: int | Fraction) -> Poly | _Plan | tuple[list[int], int | Fraction]:
         """c times the product chain at node, folded left to right.
 
-        The factors seen so far are done * (c * t^a * y^b), with the
-        pending term's exponents in exps; atoms that need no reordering
-        go into the pending term.  A chain of atoms alone is that one
-        term, returned as (exps, c) for the sum to add in.
+        The factors seen so far are those in factors times the pending
+        term c * t^a * y^b, with its exponents in exps; atoms that need
+        no reordering go into the pending term.  A chain of atoms alone
+        is that one term, returned as (exps, c) for the sum to add in;
+        any other chain is sized as a whole before it becomes a plan.
         """
         n, width, reorder = self.n, self.width, self.reorder
         exps = [0] * width
-        done: Poly | None = None
+        factors: list[Poly | _Plan] = []
         stack = [node]
         pop, push = stack.pop, stack.append
         while stack:
@@ -418,7 +452,7 @@ class _Evaluator:
                 push(node.inner)
                 continue
             k = 1
-            if cls is Pow and type(node.base) in _ATOMS:
+            if cls is Pow and type(node.base) in (Num, Var):
                 node, k = node.base, node.exponent
                 cls = type(node)
             if cls is Num:
@@ -426,37 +460,37 @@ class _Evaluator:
                 if value.denominator == 1:
                     value = value.numerator
                 if k != 1:
-                    _check_power(k, 1, _coefficient_bits(_term([0], value)))
+                    self.raised(self.shape(_term([0] * width, value)), k)
                     value **= k
                 c = value if c == 1 else -value if c == -1 else c * value
                 continue
             if cls is Var:
                 s = self.slot(node)
-                if not (reorder and s < n and exps[n + s]):
-                    exps[s] += k
-                    continue
-                unit = [0] * width
-                unit[s] = k
-                factor = _term(unit, 1)
-            elif cls is Pow:
-                factor = self.power(self.sum(node.base), node.exponent)
+                if reorder and s < n and exps[n + s]:  # t_i after d_i: the pending term is a factor
+                    factors.append(_term(exps, c))
+                    c, exps = 1, [0] * width
+                exps[s] += k
+                continue
+            if cls is Pow:
+                base, k = self.sum(node.base), node.exponent
+                factor = _Plan("pow", (base, k), self.raised(self.shape(base), k))
             else:
                 factor = self.sum(node)
             if c != 1 or any(exps):
-                done = self.mul(done, _term(exps, c))
+                factors.append(_term(exps, c))
                 c, exps = 1, [0] * width
-            done = self.mul(done, factor)
-        if done is None:
+            factors.append(factor)
+        if not factors:
             return exps, c
-        if c == 1 and not any(exps):
-            return done
-        return self.mul(done, _term(exps, c))
+        if c != 1 or any(exps):
+            factors.append(_term(exps, c))
+        if len(factors) == 1:
+            return factors[0]
+        return _Plan("mul", factors, reduce(lambda out, s: self.times(out, s, "the product"), map(self.shape, factors)))
 
     def slot(self, var: Var) -> int:
         if var.index > self.n:
-            raise ParseError(
-                var.offset, f"variable index {var.index} exceeds the {self.n} available variables"
-            )
+            raise ParseError(var.offset, f"variable index {var.index} exceeds the {self.n} available variables")
         if var.prefix == "t":
             return var.index - 1
         if var.prefix == self.second:
@@ -464,102 +498,125 @@ class _Evaluator:
         expected = "t" if self.second is None else ", ".join(sorted({"t", self.second}))
         raise ParseError(var.offset, f"unknown variable {var.prefix!r}; expected one of: {expected}")
 
-    def mul(self, left: Poly | None, right: Poly) -> Poly:
-        """left * right, checked against the size budget first; None stands for 1."""
-        if left is None:
-            return right
-        self.check_product(left, right)
-        if self.reorder and self.reorders(left, right):
-            n = self.n
+    def value(self, x: Poly | _Plan) -> Poly:
+        """x computed by the kernel; a plan has passed its size checks, so none are made here.
+
+        A power is the product of k copies of its base, which is
+        computed once.
+        """
+        if type(x) is not _Plan:
+            return x
+        if x.op == "sum":
+            return self.add(list(map(self.value, x.args)), [])
+        if x.op == "pow":
+            return reduce(self.multiply, [self.value(x.args[0])] * x.args[1])
+        return reduce(self.multiply, map(self.value, x.args))
+
+    def multiply(self, left: Poly, right: Poly) -> Poly:
+        """left * right, by DiffOp.compose where a d_i on the left meets a t_i on the right."""
+        n = self.n
+        ts = {i for key in right._num for i in range(n) if key[i]} if self.reorder else ()
+        if ts and any(key[n + i] for key in left._num for i in ts):
             return DiffOp._make(n, left).compose(DiffOp._make(n, right)).poly
         return left * right
 
-    def power(self, base: Poly, k: int) -> Poly:
-        if base:
-            _check_power(k, self.power_terms(base, k), _coefficient_bits(base))
-        if self.reorder and self.reorders(base, base):
-            return (DiffOp._make(self.n, base) ** k).poly
-        return base**k
+    # -- the size rule --------------------------------------------------------
 
-    def power_terms(self, base: Poly, k: int) -> int:
-        """An upper bound on the terms of base^k.
+    def shape(self, x: Poly | _Plan) -> _Shape:
+        """x's shape: a plan's own, a sum's from its parts, or one read off a value's terms."""
+        if type(x) is _Plan:
+            return x.shape or self.union([self.shape(part) for part in x.args])
+        n, keys = self.n, x._num
+        ts, ds = list(map(sum, map(itemgetter(slice(n)), keys))), list(map(sum, map(itemgetter(slice(n, None)), keys)))
+        gaps = set(map(sub, ts, ds)) or {0}
+        lo = min(gaps)
+        return _Shape(
+            len(keys), sum(map(abs, keys.values())), x._den, _reach(keys) or [0] * self.width, max(ts, default=0),
+            max(ds, default=0), max(map(add, ts, ds), default=0), (lo, max(gaps), gcd(*(g - lo for g in gaps))), keys,
+        )
 
-        At most the monomials of degree k*D in the variables base uses (D
-        its degree) and the box of k times their largest exponents; where
-        no d_i meets a t_i, also at most the multisets of k terms of base.
+    def union(self, shapes: list[_Shape]) -> _Shape:
+        """The shape of the sum of parts with these shapes."""
+        terms, nums, dens, reaches, tdegs, ddegs, degs, gaps, _ = zip(*shapes)
+        (los, his, steps), den = zip(*gaps), lcm(*dens)
+        return _Shape(
+            sum(terms), sum(num * (den // d) for num, d in zip(nums, dens)), den, list(map(max, zip(*reaches))),
+            max(tdegs), max(ddegs), max(degs), (min(los), max(his), gcd(*steps, *(lo - min(los) for lo in los))),
+        )
+
+    def times(self, left: _Shape, right: _Shape, what: str, action: bool = False) -> _Shape:
+        """The shape of left * right, or of left acting on a polynomial right; refused as what if over the budget.
+
+        The star product's rule: a left term t^T y^X meets a right term
+        t^S y^Y in one term t^(T+S-K) y^(X+Y-K) for each K <= X, S, with
+        binom(X, K) * perm(S, K) times their coefficients.  Summed over
+        K, that is at most (1 + s)^x and (1 + x)^s for x = |X|, s = |S|.
+        So |A| - |B| of each term is the sum of the factors' gaps, and
+        the degrees add.  An action is the y-degree-0 slice: K = X only,
+        which needs X <= S (checked where the words are known) and
+        multiplies by perm(S, X) <= s^x.  Where no y_i meets a t_i, each
+        pair of terms makes one term.  The pairs are counted by word and
+        power where a shape is read off a value, else as all at the
+        reach; x and s are at most the degrees.
         """
-        highs = [max(column) for column in zip(*base._num)]
-        used = sum(1 for h in highs if h)
-        bound = min(comb(used + k * max(map(sum, base._num)), used), prod(k * h + 1 for h in highs))
         n = self.n
-        if not (self.reorder and any(highs[i] and highs[n + i] for i in range(n))):
-            bound = min(bound, comb(len(base._num) + k - 1, k))
-        return bound
-
-    def check_product(self, left: Poly, right: Poly) -> None:
-        """Refuse a product whose estimated size is over MAX_POWER_BITS.
-
-        The terms are at most those DiffOp.compose works out: a left word
-        d^X meeting a right t^S gives one for each K <= X, S, so the
-        product over i of min(X_i, S_i) + 1.  Where the evaluator does not
-        reorder, every left term counts as the empty word, so a product
-        of commuting factors is charged its pairs of terms.  Where that is
-        over the budget, product_terms counts the possible results
-        instead.  The sum over K of binom(X_i, K_i) * perm(S_i, K_i) is
-        at most (1 + S_i)^X_i and (1 + X_i)^S_i, which bounds what
-        reordering adds to the coefficient bits.
-        """
-        n = self.n
-        cut = n if self.reorder else self.width
-        words = Counter(key[cut:] for key in left._num)
-        powers = Counter(key[:n] for key in right._num)
-        work = grow = 0
-        for X, a in words.items():
-            for S, b in powers.items():
-                work += a * b * prod(min(x, s) + 1 for x, s in zip(X, S))
-                grow = max(grow, sum(min(x * (s + 1).bit_length(), s * (x + 1).bit_length()) for x, s in zip(X, S)))
-        bits = _coefficient_bits(left) + _coefficient_bits(right) + grow
-        cap = MAX_POWER_BITS // bits + 1
-        if work >= cap and self.product_terms(left, right, cap) >= cap:
-            raise ParseError(
-                None,
-                f"the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
+        steps, grow = left.terms * right.terms, 1
+        if action or self.reorder and any(map(min, left.reach[n:], right.reach)):  # some y_i meets a t_i
+            steps, (words, powers) = 0, (
+                {tuple(s.reach[i:j]): s.terms} if s.keys is None else Counter(map(itemgetter(slice(i, j)), s.keys))
+                for s, i, j in ((left, n, None), (right, 0, n))
             )
+            for X, a in words.items():
+                x = min(sum(X), left.ddeg)
+                for S, b in powers.items():
+                    s = min(sum(S), right.tdeg)
+                    if action and left.keys is not None and not all(map(le, X, S)):
+                        continue  # a word beyond the power meets no term
+                    steps += a * b * (1 if action else prod(min(u, v) + 1 for u, v in zip(X, S)))
+                    grow = max(grow, _power(s if action else 1 + max(x, s), min(x, s), what))
+        (lo, hi, step), (lo2, hi2, step2) = left.gaps, right.gaps
+        return self.fit(_Shape(
+            steps, left.num * right.num * grow, left.den * right.den, list(map(add, left.reach, right.reach)),
+            left.tdeg + right.tdeg, 0 if action else left.ddeg + right.ddeg, left.deg + right.deg,
+            (lo + lo2, hi + hi2, gcd(step, step2)),
+        ), what)
 
-    def product_terms(self, left: Poly, right: Poly, cap: int) -> int:
-        """An upper bound on the terms of the product, or cap if that is less.
+    def raised(self, base: _Shape, k: int) -> _Shape:
+        """The shape of base^k, refused if over the budget.
 
-        t^T d^X times t^S d^Y gives terms t^A d^B with A = T + S - K and
-        B = X + Y - K, so |A| - |B| = (|T| - |X|) + (|S| - |Y|), |A| and
-        |B| stay within the largest t- and d-degrees of the factors
-        added, and |A| + |B| within their largest total degrees added.
-        The bound counts the monomials of each degree pair (|A|, |B|)
-        allowed, in the t and d variables the factors use.
+        Where no y_i meets a t_i in the base, the power has at most the
+        multisets of k of its terms, degrees and reach times k, and
+        num^k over den^k.  Any other base is the k-fold product, sized
+        one factor at a time and refused at the first that is over.
         """
-        n = self.n
-        (tl, dl, sl, gaps_l), (tr, dr, sr, gaps_r) = _degree_shape(left, n), _degree_shape(right, n)
-        keys = (*left._num, *right._num)
-        used_t = sum(1 for i in range(n) if any(key[i] for key in keys))
-        used_d = sum(1 for i in range(n, self.width) if any(key[i] for key in keys))
-        count = 0
-        for gap in {a + b for a in gaps_l for b in gaps_r}:
-            for a in range(max(gap, 0), tl + tr + 1):
-                b = a - gap
-                if b > dl + dr or a + b > sl + sr:
-                    break
-                count += _monomials(a, used_t) * _monomials(b, used_d)
+        what, reach, (lo, hi, step) = f"the power ^{k}", base.reach, base.gaps
+        if self.reorder and any(map(min, reach, reach[self.n :])):
+            return reduce(lambda out, _: self.times(out, base, what), range(k - 1), base)
+        return self.fit(_Shape(
+            comb(base.terms + k - 1, k), _power(base.num, k, what), _power(base.den, k, what), [k * r for r in reach],
+            k * base.tdeg, k * base.ddeg, k * base.deg, (k * lo, k * hi, step),
+        ), what)
+
+    def fit(self, s: _Shape, what: str) -> _Shape:
+        """s with its terms cut to the monomials its degrees allow, if fewer; refused as what if over the budget.
+
+        Over the budget is terms times coefficient bits, those of num
+        and den, over MAX_POWER_BITS.  The monomials t^A y^B counted
+        have |A| - |B| among the gaps, |A| <= tdeg, |B| <= ddeg and |A|
+        + |B| <= deg, in the variables s reaches.  Each gap allows at
+        least one, so the count stops after at most cap steps.
+        """
+        n, cap = self.n, MAX_POWER_BITS // (s.num.bit_length() + s.den.bit_length()) + 1
+        if s.terms < cap:
+            return s
+        used_t, used_d = sum(1 for r in s.reach[:n] if r), sum(1 for r in s.reach[n:] if r)
+        (lo, hi, step), count = s.gaps, 0
+        for gap in range(lo, hi + 1, step or 1):
+            for a in range(max(gap, 0), min(s.tdeg, gap + s.ddeg, (gap + s.deg) // 2) + 1):
+                count += _monomials(a, used_t) * _monomials(a - gap, used_d)
                 if count >= cap:
-                    return cap
-        return count
-
-    def reorders(self, left: Poly, right: Poly) -> bool:
-        """Does some d_i on the left meet a t_i on the right?"""
-        n = self.n
-        ts = {i for key in right._num for i in range(n) if key[i]}
-        return bool(ts) and any(key[n + i] for key in left._num for i in ts)
-
-
-_ATOMS = (Num, Var)
+                    raise _too_large(what)
+        return s._replace(terms=count)
 
 
 def _term(exps: list[int], c: int | Fraction) -> Poly:
@@ -568,43 +625,29 @@ def _term(exps: list[int], c: int | Fraction) -> Poly:
     return Poly._make(len(exps), num, c.denominator)
 
 
-def _degree_shape(p: Poly, n: int) -> tuple[int, int, int, set[int]]:
-    """Largest t-degree, d-degree and total degree of the terms, and their t- less d-degrees."""
-    ts = [sum(key[:n]) for key in p._num]
-    ds = [sum(key[n:]) for key in p._num]
-    return max(ts), max(ds), max(map(add, ts, ds)), set(map(sub, ts, ds))
-
-
 def _monomials(degree: int, variables: int) -> int:
     """How many monomials of exactly this degree the variables have."""
-    if not variables:
-        return int(degree == 0)
-    return comb(degree + variables - 1, variables - 1)
+    return comb(degree + variables - 1, variables - 1) if variables else int(degree == 0)
 
 
-def _coefficient_bits(p: Poly) -> int:
-    """Bits of the sum of |c| over the common denominator, plus the denominator's.
-
-    A k-th power's coefficients have at most k times as many, leaving
-    out what reordering d_i past t_i adds.
-    """
-    return sum(map(abs, p._num.values())).bit_length() + p._den.bit_length()
+def _power(base: int, k: int, what: str) -> int:
+    """base**k; refused as what if that has more than MAX_POWER_BITS bits, and so is over any budget."""
+    if (base.bit_length() - 1) * k > MAX_POWER_BITS:
+        raise _too_large(what)
+    return base**k
 
 
-def _check_power(k: int, terms: int, bits: int) -> None:
-    if terms * k * bits > MAX_POWER_BITS:
-        raise ParseError(
-            None,
-            f"the power ^{k} is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
-        )
+def _too_large(what: str) -> ParseError:
+    bound = f"its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
+    return ParseError(None, f"{what} is too large to expand: {bound}")
 
 
 def to_poly(node: Node, n: int) -> Poly:
-    return _Evaluator(n, None, False).sum(node)
+    return _Evaluator(n, None, False).run(node)
 
 
 def to_diffop(node: Node, n: int) -> DiffOp:
-    return DiffOp._make(n, _Evaluator(n, "d", True).sum(node))
+    return DiffOp._make(n, _Evaluator(n, "d", True).run(node))
 
 
 def variable_count(n: int | None, *trees: Node) -> int:
@@ -612,60 +655,44 @@ def variable_count(n: int | None, *trees: Node) -> int:
     return n if n is not None else max(1, *map(max_index, trees))
 
 
-def parse_shared(*sources: tuple[str, str], n: int | None = None) -> list:
-    """Each (kind, text) source, kind "operator" (t and d) or "poly" (t), in one shared n.
-
-    n is inferred as the largest variable index in any source unless given.
-    """
-    kinds = {"operator": ({"t", "d"}, to_diffop), "poly": ({"t"}, to_poly)}
-    trees = [(kind, parse_ast(text, kinds[kind][0])) for kind, text in sources]
-    n = variable_count(n, *(tree for _, tree in trees))
-    return [kinds[kind][1](tree, n) for kind, tree in trees]
-
-
 def parse_operator(src: str, n: int | None = None) -> DiffOp:
     """Operator expression in t and d variables; n inferred as the max index."""
-    return parse_shared(("operator", src), n=n)[0]
+    tree = parse_ast(src, {"t", "d"})
+    return to_diffop(tree, variable_count(n, tree))
 
 
 def parse_poly(src: str, n: int | None = None) -> Poly:
-    return parse_shared(("poly", src), n=n)[0]
+    tree = parse_ast(src, {"t"})
+    return to_poly(tree, variable_count(n, tree))
 
 
-def check_composition(left: DiffOp, right: DiffOp) -> None:
-    """Refuse left * right when its estimated size is over MAX_POWER_BITS, as in an expression."""
-    _Evaluator(left.n, "d", True).check_product(left.poly, right.poly)
+def parse_commutator(left: str, right: str, n: int | None = None) -> DiffOp:
+    """[A, B] of two operator expressions in one shared n, inferred as the max index unless given.
 
-
-def check_action(D: DiffOp, p: Poly) -> None:
-    """Refuse D(p) when its estimated size is over MAX_POWER_BITS.
-
-    A term of f_J meets every term t^I of p with I >= J, so the terms
-    are the sum over words J of |f_J| times the count of such I.
-    d^J(t^I) multiplies a coefficient by perm(I, J) = I!/(I-J)!, so the
-    bits are those of D and p plus the most bits of perm(I, J) over
-    those pairs.  A word above p's reach meets no term and is skipped
-    unscanned, as apply skips it.  The estimate only grows, so it is
-    refused as soon as it passes the budget.
+    Both products, A * B and B * A, are sized by the rule for a product
+    in an expression, on the expressions, before either is computed.
     """
-    n = D.n
-    words = Counter(key[n:] for key in D.poly._num)
-    base = _coefficient_bits(D.poly) + _coefficient_bits(p)
-    reach = _reach(p._num)
-    terms = grow = 0
-    for J, a in words.items():
-        if not all(map(le, J, reach)):
-            continue
-        for I in p._num:
-            if all(map(ge, I, J)):
-                terms += a
-                grow = max(grow, prod(map(perm, I, J)).bit_length())
-                if terms * (base + grow) > MAX_POWER_BITS:
-                    raise ParseError(
-                        None,
-                        "the action is too large to expand: "
-                        f"its estimated terms times coefficient bits exceed {MAX_POWER_BITS}",
-                    )
+    trees = parse_ast(left, {"t", "d"}), parse_ast(right, {"t", "d"})
+    evaluator = _Evaluator(variable_count(n, *trees), "d", True)
+    a, b = map(evaluator.sum, trees)
+    A, B = evaluator.shape(a), evaluator.shape(b)
+    evaluator.times(A, B, "the product")
+    evaluator.times(B, A, "the product")
+    return commutator(*(DiffOp._make(evaluator.n, evaluator.value(x)) for x in (a, b)))
+
+
+def parse_action(expr: str, poly: str, n: int | None = None) -> Poly:
+    """D(p) for an operator and a polynomial expression in one shared n, inferred unless given.
+
+    The action is sized as the y-degree-0 slice of the product D * p,
+    on the expressions, before either is computed.
+    """
+    trees = parse_ast(expr, {"t", "d"}), parse_ast(poly, {"t"})
+    n = variable_count(n, *trees)
+    operator, polynomial = _Evaluator(n, "d", True), _Evaluator(n, None, False)
+    d, p = operator.sum(trees[0]), polynomial.sum(trees[1])
+    operator.times(operator.shape(d), polynomial.shape(p), "the action", action=True)
+    return DiffOp._make(n, operator.value(d)).apply(polynomial.value(p))
 
 
 def check_xi_prefix(prefix: str) -> str:
@@ -680,7 +707,7 @@ def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> Symbol
     check_xi_prefix(xi_prefix)
     ast = parse_ast(src, {"t", xi_prefix})
     n = variable_count(n, ast)
-    poly = _Evaluator(n, xi_prefix, False).sum(ast)
+    poly = _Evaluator(n, xi_prefix, False).run(ast)
     grades = {sum(key[n:]) for key in poly._num} or {0}
     if len(grades) > 1:
         lo, hi = min(grades), max(grades)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylcalc import parser
 from weylcalc.jets import JetMap
 from weylcalc.operators import DiffOp
 from weylcalc.parser import (
@@ -24,14 +26,13 @@ from weylcalc.parser import (
     Var,
     _Evaluator,
     _tokenize,
-    check_action,
-    check_composition,
     max_index,
+    parse_action,
     parse_ast,
+    parse_commutator,
     parse_jet_map,
     parse_operator,
     parse_poly,
-    parse_shared,
     parse_symbol,
     to_diffop,
     to_poly,
@@ -215,51 +216,70 @@ def test_commuting_products_are_bounded():
 
 
 def test_composition_check_matches_the_parser():
-    wide = parse_operator("(t1+t2+t3+d1+d2+d3)^8")
+    # comm sizes both of its products by the rule that sizes a product in an expression
+    wide = "(t1+t2+t3+d1+d2+d3)^8"
     with pytest.raises(ParseError, match="the product is too large to expand"):
-        check_composition(wide, wide)
+        parse_commutator(wide, wide)
     with pytest.raises(ParseError, match="the product is too large to expand"):
-        parse_operator("(t1+t2+t3+d1+d2+d3)^8*(t1+t2+t3+d1+d2+d3)^8")
-    # the check is not symmetric: d1^1000 after t1^1000 needs no reordering
-    d, t1 = parse_operator("d1^1000"), parse_operator("t1^1000")
-    check_composition(t1, d)
+        parse_operator(f"{wide}*{wide}")
+    # the rule is not symmetric: d1^1000 after t1^1000 needs no reordering
+    evaluator = _Evaluator(1, "d", True)
+    d, t1 = (evaluator.shape(evaluator.sum(parse_ast(src, {"t", "d"}))) for src in ("d1^1000", "t1^1000"))
+    evaluator.times(t1, d, "the product")
     with pytest.raises(ParseError, match="the product is too large to expand"):
-        check_composition(d, t1)
+        evaluator.times(d, t1, "the product")
+    with pytest.raises(ParseError, match="the product is too large to expand"):
+        parse_commutator("t1^1000", "d1^1000")
 
 
 def test_action_check_bounds_apply():
-    D, p = parse_shared(("operator", "(t1+t2+t3+d1+d2+d3)^12"), ("poly", "(t1+t2+t3)^40"))
     with pytest.raises(ParseError, match="the action is too large to expand"):
-        check_action(D, p)
+        parse_action("(t1+t2+t3+d1+d2+d3)^12", "(t1+t2+t3)^40")
     # one pair with a 1000! coefficient is far below the budget, though the product d1^1000*t1^1000 is not
-    d, t1 = parse_shared(("operator", "d1^1000"), ("poly", "t1^1000"))
-    check_action(d, t1)
-    assert d.apply(t1) == Poly.const(1, math.factorial(1000))
+    assert parse_action("d1^1000", "t1^1000") == Poly.const(1, math.factorial(1000))
     # a word that no term of p reaches costs nothing
-    check_action(parse_operator("d1^90000*d2^90000 + 7", 2), parse_poly("(t1+t2)^20", 2))
+    assert parse_action("d1^90000*d2^90000 + 7", "(t1+t2)^20") == 7 * parse_poly("(t1+t2)^20")
 
 
 def test_shared_parse_infers_one_n():
-    D, p = parse_shared(("operator", "d2"), ("poly", "t1"))
-    assert D == DiffOp.partial(2, 2) and p == Poly.variable(2, 1)
-    D, p = parse_shared(("operator", "d1"), ("poly", "t1"), n=3)
-    assert D.n == p.n == 3
+    # comm and apply read both sources in one n, the largest index in either unless given
+    assert parse_action("d2", "t2^2") == Poly(2, {(0, 1): 2})
+    assert parse_action("d1", "t1", n=3) == Poly.const(3, 1)
+    assert parse_commutator("d2", "t1") == DiffOp.zero(2)
+    assert parse_commutator("d1", "t1", n=3) == DiffOp.identity(3)
 
 
-def test_product_term_count_bounds_the_product():
+def random_tree(rng, variables, depth=3):
+    """Text of a small random tree: sums, products, powers and negations of atoms and rationals."""
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return rng.choice([*variables, str(rng.randint(0, 3)), f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"])
+    left, right = random_tree(rng, variables, depth - 1), random_tree(rng, variables, depth - 1)
+    return [f"({left} + {right})", f"({left})*({right})", f"({left})^{rng.randint(1, 3)}", f"-({left})"][kind - 1]
+
+
+def assert_bounds(shape, value):
+    assert shape.terms >= len(value._num)
+    assert shape.den >= value._den and shape.den % value._den == 0
+    assert shape.num >= sum(map(abs, value._num.values()))
+
+
+def test_the_shape_bounds_the_value():
+    # the size rule must stay an upper bound: on random trees for operators, polynomials,
+    # symbols and actions, the shape has at least the terms, numerators and denominator
     rng = random.Random(20261018)
-    evaluator = _Evaluator(3, "d", True)
-
-    def draw():
-        terms = ["*".join(f"{rng.choice('td')}{rng.randint(1, 3)}^{rng.randint(1, 4)}" for _ in range(rng.randint(1, 3)))
-                 for _ in range(rng.randint(1, 4))]
-        return evaluator.sum(parse_ast("+".join(terms), {"t", "d"}))
-
-    for _ in range(100):
-        left, right = draw(), draw()
-        if evaluator.reorders(left, right):
-            assert evaluator.product_terms(left, right, 10**9) >= len(evaluator.mul(left, right)._num)
-            assert evaluator.product_terms(left, right, 3) <= 3
+    kinds = [(["t1", "t2", "t3", "d1", "d2", "d3"], "d", True), (["t1", "t2", "t3"], None, False),
+             (["t1", "t2", "t3", "x1", "x2", "x3"], "x", False)]
+    for _ in range(150):
+        for variables, second, reorder in kinds:
+            evaluator = _Evaluator(3, second, reorder)
+            plan = evaluator.sum(parse_ast(random_tree(rng, variables), {"t", second or "t"}))
+            assert_bounds(evaluator.shape(plan), evaluator.value(plan))
+        operator, polynomial = _Evaluator(3, "d", True), _Evaluator(3, None, False)
+        d = operator.sum(parse_ast(random_tree(rng, kinds[0][0]), {"t", "d"}))
+        p = polynomial.sum(parse_ast(random_tree(rng, kinds[1][0]), {"t"}))
+        shape = operator.times(operator.shape(d), polynomial.shape(p), "the action", action=True)
+        assert_bounds(shape, DiffOp._make(3, operator.value(d)).apply(polynomial.value(p)))
 
 
 def test_jet_tables_are_bounded():
@@ -622,21 +642,132 @@ def test_nodes_compare_and_print_like_dataclasses():
 
 def test_a_finished_product_is_not_multiplied_by_one(monkeypatch):
     # the pending term of a product chain is 1 once every factor is done; multiplying
-    # by it would charge check_product a pass over every word of the product
-    units = []
-    checks = []
-    inner = _Evaluator.check_product
+    # by it would cost a kernel product over every term of the product
+    products, units = [], []
+    for owner, name in [(Poly, "__mul__"), (DiffOp, "compose")]:
+        def counted(left, right, inner=getattr(owner, name)):
+            factor = right.poly if isinstance(right, DiffOp) else right
+            products.append(len(factor._num))
+            if factor == Poly.const(factor.n, 1):
+                units.append(len(factor._num))
+            return inner(left, right)
 
-    def counted(self, left, right):
-        checks.append(len(left._num))
-        if right == Poly.const(right.n, 1):
-            units.append(len(left._num))
-        return inner(self, left, right)
-
-    monkeypatch.setattr(_Evaluator, "check_product", counted)
+        monkeypatch.setattr(owner, name, counted)
     big = "(" + "+".join(f"d{i}" for i in range(51, 101)) + ")^3"
     assert len(parse_operator(big, 100).poly._num) == 22100
-    assert checks == []
+    assert len(products) == 2 and units == []  # the two products of the power, and no other
     for src in ["(t1+d1)^2*t2", "2*(t1+d1)*d2^2", "(t1+d2)*(d1+t2)", "-(t1+d1)^2", "t1*(d1+t2)*3"]:
         parse_operator(src, 2)
-    assert units == [] and len(checks) > 0
+    assert units == [] and len(products) > 2
+
+
+# -- the size rule's verdicts ------------------------------------------------
+
+F = "(t1+t2+t3)^30"
+S6, S8 = "(t1+t2+t3+d1+d2+d3)^6", "(t1+t2+t3+d1+d2+d3)^8"
+# t_i*d_(i+1) around a cycle: its square runs as a product and as a power
+B30 = "(" + "+".join(f"t{i}*d{i % 30 + 1}" for i in range(1, 31)) + ")"
+B8 = "(" + "+".join(f"t{i}*d{i % 8 + 1}" for i in range(1, 9)) + ")"
+
+
+def evaluate(kind, *sources):
+    parse = {"operator": parse_operator, "poly": parse_poly, "symbol": parse_symbol, "comm": parse_commutator,
+             "apply": parse_action, "construct": lambda degree: parse_jet_map("1,0 -> t2\n", degree)}
+    return parse[kind](*sources)
+
+
+# within the budget: each input and the SHA-256 of its printed value, as the
+# estimators that the size rule replaced computed it
+ACCEPTED = [
+    ("field^6", ("operator", "((t1+1)*d1 + t2*d2 + 1/2)^6"),
+     "eb382f3734e321f00d4b133748796fa60b760990a6c7fc36e0fb42b8ebbeef9a"),
+    ("(t1-2*t2)^20", ("poly", "(t1-2*t2)^20"),
+     "ec125000092bb85de9a37024562a47c7512221808563db7d1f2ebcadb7f52175"),
+    ("s^10", ("operator", "(t1+t2+t3+d1+d2+d3)^10"),
+     "6f9579f8e293e37bdf1da4d13edb3ad56f2e5b0722f5915be7592955d3470b66"),
+    ("monomial^100000", ("poly", "(t1*t2*t3*t4*t5*t6)^100000"),
+     "93a114bcfa93bceddcde9527df169c7d47c1e2e02939a85d6d0452cf65f4bea3"),
+    ("2^15000*(1/2)^15000", ("poly", "2^15000*(1/2)^15000"),
+     "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ("d1^300*t1^300", ("operator", "d1^300*t1^300"),
+     "f4eae2dc151241f48d0045adbb129a759a9d18ac8c9b6e03558234f01371564b"),
+    ("(d1+d2+d3)^8*(t1+t2+t3)^8", ("operator", "(d1+d2+d3)^8*(t1+t2+t3)^8"),
+     "ac3926667f8ea45bb2dbf896d92251308d9b3e7a26f33d8f9cd6f4247e54be00"),
+    ("t1^100000*d1^100000", ("operator", "t1^100000*d1^100000"),
+     "626a41b2e3171640126520da16c00477eda19cb9db3f3053ccb4be27a874fc0b"),
+    ("x1^100000*t1^100000", ("symbol", "x1^100000*t1^100000"),
+     "fa867276739f9fd6898c880681079aae60b507b3ec77bb4a22ecbb60bfc8b435"),
+    ("(t1+t2)^100*(t1-t2)^100", ("poly", "(t1+t2)^100*(t1-t2)^100"),
+     "854b4218cbbe6933af0663b92939800f06b7f0f3bb8758e7ab52dd598f800c20"),
+    ("(x1+x2)^30*(t1+t2)^30", ("symbol", "(x1+x2)^30*(t1+t2)^30"),
+     "ccbd8f5e11aae4fe68f0836a6782d4150fe3ece9b0be0ebfc597e8769c80f694"),
+    ("three F", ("operator", f"{F}*{F}*{F}"),
+     "6ea3062434a1c6964fa0678a0eab843ff8df4827c10ea122833cf56852abc136"),
+    ("comm s6 s6", ("comm", S6, S6),
+     "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    ("apply d1^1000 t1^1000", ("apply", "d1^1000", "t1^1000"),
+     "cc336cf135d690c1105664b3b859db66b940db51cd66cf891fee120584cf7873"),
+    ("apply beyond reach", ("apply", "d1^90000*d2^90000 + 7", "(t1+t2)^20"),
+     "9e66fe89a230debad55f79a43e19e488dc238c4177cf3d101c779e32ab8da853"),
+    ("(d51+...+d100)^3", ("operator", "(" + "+".join(f"d{i}" for i in range(51, 101)) + ")^3"),
+     "d45c5306c4f9547e3e6827dacf67c68e08232cd94f103f3509d62678a136165d"),
+    ("d1*(t1+t2)^2", ("operator", "d1*(t1+t2)^2"),
+     "651951c3b73e20744a79ce28906a382d9a1471fa30ef80fb948f95f1995416cd"),
+    ("B30*B30", ("operator", f"{B30}*{B30}"),
+     "ab1a67ad9c60d2b018f36b9dd0f115aaf1362a1592ae6dc727f6b2ddbafbce49"),
+    ("B8*B8*B8", ("operator", f"{B8}*{B8}*{B8}"),
+     "270052b4ec9ade61ac4f5f3ec219ae5882f9c46efc77dedf1278d4d74b0a2976"),
+]
+
+
+@pytest.mark.parametrize("source,digest", [pytest.param(source, digest, id=name) for name, source, digest in ACCEPTED])
+def test_accepted_inputs_keep_their_values(source, digest):
+    assert hashlib.sha256(str(evaluate(*source)).encode()).hexdigest() == digest
+
+
+def test_a_power_and_its_product_chain_get_one_verdict():
+    # the power ^k is the k-fold product under the same rule, so both run
+    assert parse_operator(f"{B30}^2") == parse_operator(f"{B30}*{B30}")
+    assert parse_operator(f"{B8}^3") == parse_operator(f"{B8}*{B8}*{B8}")
+
+
+def test_heavy_round_trip_text_parses_back():
+    # the benchmark's heavy round trip: a first-order field in 3 variables to the 8th power
+    rng = random.Random("heavy:7:0")
+
+    def rational():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 3), rng.choice((1, 2)))
+
+    units = [tuple(int(k == j) for k in range(3)) for j in range(3)]
+    coefficients = {(0, 0, 0): Poly(3, {u: rational() for u in units})}
+    field = DiffOp(3, {**coefficients, **{u: Poly.const(3, rational()) for u in units}})
+    power = field**8
+    text = str(power)
+    assert hashlib.sha256(text.encode()).hexdigest() == "1760a013db6f122e9c73f677ee1b69ebb13c897fdde4289bf6ba7cfd528a8866"
+    assert parse_operator(text, 3) == power
+
+
+REFUSED = [
+    pytest.param(("operator", "*".join([F] * 5)), "the product is too large", id="five F"),
+    pytest.param(("comm", S8, S8), "the product is too large", id="comm s8 s8"),
+    pytest.param(("apply", "(t1+t2+t3+d1+d2+d3)^12", "(t1+t2+t3)^40"), "the action is too large", id="apply s^12"),
+    pytest.param(("operator", "(t1+t2+t3+d1+d2+d3)^40"), r"the power \^40 is too large", id="s^40"),
+    pytest.param(("construct", 100), "more than 300 monomials", id="construct --degree 100"),
+    pytest.param(("operator", f"({F}*{F}+1)^2"), r"the power \^2 is too large", id="(F*F+1)^2"),
+]
+
+
+@pytest.mark.parametrize("source,message", REFUSED)
+def test_refused_inputs_make_no_kernel_call(monkeypatch, source, message):
+    calls = []
+    kernel = [(Poly, "__mul__"), (Poly, "__pow__"), (DiffOp, "compose"), (DiffOp, "__pow__"), (DiffOp, "apply"),
+              (parser, "commutator")]
+    for owner, name in kernel:
+        def counted(*args, name=name, inner=getattr(owner, name)):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    with pytest.raises(ParseError, match=message):
+        evaluate(*source)
+    assert calls == []
