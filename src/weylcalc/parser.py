@@ -604,17 +604,18 @@ class _Evaluator:
         and den, over MAX_POWER_BITS.  The monomials t^A y^B counted
         have |A| - |B| among the gaps, |A| <= tdeg, |B| <= ddeg and |A|
         + |B| <= deg, in the variables s reaches.  Each gap allows at
-        least one, so the count stops after at most cap steps.
+        least one, so the count stops after at most terms or cap steps,
+        whichever is fewer.
         """
         n, cap = self.n, MAX_POWER_BITS // (s.num.bit_length() + s.den.bit_length()) + 1
-        if s.terms < cap:
-            return s
-        used_t, used_d = sum(1 for r in s.reach[:n] if r), sum(1 for r in s.reach[n:] if r)
+        used_t, used_d = n - s.reach[:n].count(0), len(s.reach[n:]) - s.reach[n:].count(0)
         (lo, hi, step), count = s.gaps, 0
         for gap in range(lo, hi + 1, step or 1):
             for a in range(max(gap, 0), min(s.tdeg, gap + s.ddeg, (gap + s.deg) // 2) + 1):
                 count += _monomials(a, used_t) * _monomials(a - gap, used_d)
-                if count >= cap:
+                if count >= min(s.terms, cap):
+                    if s.terms < cap:
+                        return s
                     raise _too_large(what)
         return s._replace(terms=count)
 
