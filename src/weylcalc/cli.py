@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a law check finds failures, 2 on
 usage, parse, or input errors.  Diagnostics go to stderr; results go
-to stdout.
+to stdout.  Every input error is a ValueError (ParseError is one), and
+main alone turns it into its one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -68,32 +69,17 @@ def _cmd_gorder(args: argparse.Namespace) -> int:
 
 
 def _cmd_symbol(args: argparse.Namespace) -> int:
-    D = parse_operator(args.expr, args.vars)
-    try:
-        s = principal_symbol(D, args.grade)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s = principal_symbol(parse_operator(args.expr, args.vars), args.grade)
     return _print(lambda: s.render(args.xi_prefix))
 
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
-    try:
-        s = parse_symbol(args.expr, n=args.vars, xi_prefix=args.xi_prefix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    D = quantize(s)
+    D = quantize(parse_symbol(args.expr, n=args.vars, xi_prefix=args.xi_prefix))
     return _print(lambda: str(D))
 
 
 def _cmd_split1(args: argparse.Namespace) -> int:
-    D = parse_operator(args.expr, args.vars)
-    try:
-        X, a = split_order_one(D)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    X, a = split_order_one(parse_operator(args.expr, args.vars))
     return _print(lambda: f"X = {X}\na = {a}")
 
 
@@ -104,12 +90,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.map}: {exc.strerror}", file=sys.stderr)
         return 2
-    try:
-        table = parse_jet_map(text, args.degree, n=args.vars)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    D = from_jet_map(table)
+    D = from_jet_map(parse_jet_map(text, args.degree, n=args.vars))
     return _print(lambda: str(D))
 
 
@@ -132,16 +113,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
-    try:
-        cfg = replace(base, **overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = [run_law(args.law, cfg)] if args.law else run_all(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = replace(base, **overrides)
+    reports = [run_law(args.law, cfg)] if args.law else run_all(cfg)
     failed = False
     for report in reports:
         print(report.machine_line())
@@ -270,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
+    except ValueError as exc:  # bad input; a ParseError writes its own prefix
+        print(exc if isinstance(exc, ParseError) else f"error: {exc}", file=sys.stderr)
         return 2
 
 

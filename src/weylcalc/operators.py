@@ -60,11 +60,10 @@ class _NormalForm:
 
     Subclasses name y (d for operators) and fix the product.  _grade is
     None for an operator; a symbol's grade is part of its identity even
-    when it is zero.  terms, the view {J: f_J}, is built on first use
-    and kept, since instances are treated as immutable.
+    when it is zero.
     """
 
-    __slots__ = ("n", "poly", "_grade", "_terms")
+    __slots__ = ("n", "poly", "_grade")
 
     _noun = "operator"
     _prefix = "d"
@@ -91,7 +90,6 @@ class _NormalForm:
         self.n = n
         self.poly = _words_poly(n, pairs)
         self._grade = grade
-        self._terms = None
 
     @classmethod
     def _make(cls, n: int, poly: Poly, grade: int | None = None):
@@ -100,19 +98,16 @@ class _NormalForm:
         out.n = n
         out.poly = poly
         out._grade = grade
-        out._terms = None
         return out
 
     @property
     def terms(self) -> dict[MultiIndex, Poly]:
-        """The nonzero coefficient f_J of each word J, a Poly in t1..tn."""
-        if self._terms is None:
-            n, new, den = self.n, tuple.__new__, self.poly._den
-            self._terms = {
-                new(MultiIndex, J): Poly._make(n, {new(MultiIndex, key[:n]): c for key, c in group}, den)
-                for J, group in _by_word(n, self.poly).items()
-            }
-        return self._terms
+        """The nonzero coefficient f_J of each word J, a Poly in t1..tn, built from poly on each access."""
+        n, new, den = self.n, tuple.__new__, self.poly._den
+        return {
+            new(MultiIndex, J): Poly._make(n, {new(MultiIndex, key[:n]): c for key, c in group}, den)
+            for J, group in _by_word(n, self.poly).items()
+        }
 
     def __bool__(self) -> bool:
         return bool(self.poly)
@@ -320,10 +315,18 @@ class DiffOp(_NormalForm):
         return DiffOp._make(n, Poly._make(2 * n, {key: c for key, c in acc.items() if c}, a._den * b._den))
 
     def __pow__(self, k: int) -> "DiffOp":
+        """k - 1 compositions of self with itself, and the identity at k = 0.
+
+        Where no d_i of self meets a t_i of self, self commutes with
+        itself, and its power is the power of its Poly.
+        """
         if k < 0:
             raise ValueError(f"negative power {k} of an operator")
-        out = DiffOp.identity(self.n)
-        for _ in range(k):
+        n, reach = self.n, _reach(self.poly._num)
+        if not k or not any(map(min, reach[:n], reach[n:])):
+            return DiffOp._make(n, self.poly**k)
+        out = self
+        for _ in range(k - 1):
             out = out.compose(self)
         return out
 

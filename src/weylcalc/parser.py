@@ -34,13 +34,13 @@ One evaluator turns a tree into a polynomial, an operator or a symbol.
 Its values are the kernel's own Poly, sums of normal-ordered terms
 c * t^a * y^b: in 2n variables for an operator (y = d) or a symbol (y =
 the xi prefix), in n for a polynomial, which has no y.  A product chain
-folds left to right into one term: a number multiplies c, an atom
-t_i^k or y_i^k adds k to its exponent, and a right factor c * d^b just
-shifts the words on its left.  A chain of atoms alone stays that one
-term, (exponents, coefficient), and the sum adds it into its integer
-dict over the lcm of all denominators, with no one-term Poly.  Sums and
-product chains are walked with an explicit stack, so a sum of any
-length needs no recursion.
+folds left to right into one term: a number multiplies c, and an atom
+t_i^k or y_i^k adds k to its exponent, except that an operator's t_i
+after a d_i starts the next factor.  A chain of atoms alone stays that
+one term, (exponents, coefficient), and the sum adds it into its
+integer dict over the lcm of all denominators, with no one-term Poly.
+Sums and product chains are walked with an explicit stack, so a sum of
+any length needs no recursion.
 
 The evaluator works in two passes.  The first computes every part that
 multiplies nothing but atoms, as above, and turns each other product,
@@ -57,10 +57,13 @@ keeps only the reach.  A power is the k-fold product under the same
 rule, iterated for a base in which a d_i meets a t_i, in closed form
 otherwise; an action D(p) is the y-degree-0 slice of the product
 D * p.  A plan over the budget is refused at once.  The second pass
-computes the plans with no checks: where a t_i follows a d_i, or a
-compound factor meets the derivatives on its left, DiffOp.compose
-reorders the product; otherwise it is the Poly product, as it always
-is for symbols and polynomials.
+computes the plans with no checks, each by one kernel call: an
+operator's products and powers are DiffOp.compose and DiffOp.__pow__,
+a polynomial's or a symbol's are Poly.__mul__ and Poly.__pow__.  The
+kernel decides what commutes: a star product in which no d_i on the
+left meets a t_i on the right, such as a right factor c * d^b, is its
+plain product, and a base that commutes with itself takes the Poly
+power, which raises a one-term base in closed form.
 
 Errors carry the 1-based byte offset of the offending token; semantic
 errors that have no single position carry offset None.
@@ -73,7 +76,7 @@ from collections import Counter, namedtuple
 from functools import reduce
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter, le, sub
+from operator import add, itemgetter, le, mul, sub
 
 from .jets import JetMap
 from .operators import DiffOp, _reach, commutator
@@ -98,7 +101,7 @@ MAX_POWER_BITS = 2**20
 MAX_JET_BASIS = 300
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, offset: int | None, message: str):
         super().__init__(offset, message)
         self.offset = offset
@@ -373,11 +376,12 @@ class _Evaluator:
 
     Every value is a Poly in the kernel's integer form: in n variables
     for polynomials (second is None), else in 2n with y_i in slot n+i.
-    reorder says that y_i = d_i does not commute with t_i.  sum turns a
-    tree into a plan: product-free parts are computed at once, and every
-    product and power is sized by its shape, and refused if that is over
-    MAX_POWER_BITS, before anything is multiplied.  value then computes
-    the plan with no further checks.
+    reorder says that y_i = d_i does not commute with t_i, so that the
+    values are operators.  sum turns a tree into a plan: product-free
+    parts are computed at once, and every product and power is sized by
+    its shape, and refused if that is over MAX_POWER_BITS, before
+    anything is multiplied.  value then maps the plan to kernel calls,
+    with no further checks.
     """
 
     def __init__(self, n: int, second: str | None, reorder: bool):
@@ -501,24 +505,22 @@ class _Evaluator:
     def value(self, x: Poly | _Plan) -> Poly:
         """x computed by the kernel; a plan has passed its size checks, so none are made here.
 
-        A power is the product of k copies of its base, which is
-        computed once.
+        Products and powers are the kernel's: DiffOp.compose and
+        DiffOp.__pow__ for an operator, Poly.__mul__ and Poly.__pow__
+        otherwise.  The kernel finds by itself the factors that commute.
         """
         if type(x) is not _Plan:
             return x
         if x.op == "sum":
             return self.add(list(map(self.value, x.args)), [])
-        if x.op == "pow":
-            return reduce(self.multiply, [self.value(x.args[0])] * x.args[1])
-        return reduce(self.multiply, map(self.value, x.args))
-
-    def multiply(self, left: Poly, right: Poly) -> Poly:
-        """left * right, by DiffOp.compose where a d_i on the left meets a t_i on the right."""
         n = self.n
-        ts = {i for key in right._num for i in range(n) if key[i]} if self.reorder else ()
-        if ts and any(key[n + i] for key in left._num for i in ts):
-            return DiffOp._make(n, left).compose(DiffOp._make(n, right)).poly
-        return left * right
+        if x.op == "pow":
+            base, k = self.value(x.args[0]), x.args[1]
+            return (DiffOp._make(n, base) ** k).poly if self.reorder else base**k
+        factors = map(self.value, x.args)
+        if self.reorder:
+            return reduce(DiffOp.compose, (DiffOp._make(n, f) for f in factors)).poly
+        return reduce(mul, factors)
 
     # -- the size rule --------------------------------------------------------
 

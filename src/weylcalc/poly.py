@@ -259,10 +259,19 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
+        """k - 1 products of self with itself, and 1 at k = 0.
+
+        A one-term self c * t^I needs none: its power is c^k * t^(k*I).
+        """
         if k < 0:
             raise ValueError(f"negative power {k} of a polynomial")
-        out = Poly.const(self.n, 1)
-        for _ in range(k):
+        if not k:
+            return Poly.const(self.n, 1)
+        if len(self._num) == 1:
+            ((I, c),) = self._num.items()
+            return Poly._make(self.n, {MultiIndex._make([k * e for e in I]): c**k}, self._den**k)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

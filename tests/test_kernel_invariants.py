@@ -77,7 +77,7 @@ def assert_canonical_diffop(D, n):
 
 @given(polys(), polys(), coeffs(), st.tuples(st.integers(0, 2), st.integers(0, 2)))
 def test_poly_results_are_canonical(p, q, c, J):
-    for r in (p + q, p - q, -p, p * q, p * c, p - p, p.derive(J)):
+    for r in (p + q, p - q, -p, p * q, p * c, p - p, p.derive(J), p**3):
         assert_canonical_poly(r, 2)
     if q:
         assert_canonical_poly(reduce_by(p * q + p, q), 2)
@@ -85,7 +85,7 @@ def test_poly_results_are_canonical(p, q, c, J):
 
 @given(diffops(), diffops(), coeffs())
 def test_diffop_results_are_canonical(A, B, c):
-    for D in (A + B, A - B, -A, A - A, A.compose(B), A.scale(c), commutator(A, B)):
+    for D in (A + B, A - B, -A, A - A, A.compose(B), A.scale(c), commutator(A, B), A**2):
         assert_canonical_diffop(D, 2)
 
 

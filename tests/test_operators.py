@@ -111,6 +111,49 @@ def test_pow():
     assert D**0 == DiffOp.identity(1)
 
 
+@st.composite
+def small_ops(draw, n=2):
+    """At most three terms c * t^I * d^J, so that zero, constants and one-term bases come up often."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        I, J = (tuple(draw(st.integers(0, 2)) for _ in range(n)) for _ in range(2))
+        terms[J] = terms.get(J, Poly.zero(n)) + Poly.monomial(n, I, draw(coeffs()))
+    return DiffOp(n, terms)
+
+
+def repeated(x, k, unit, times):
+    """k products of x, one at a time, starting from the unit: the oracle for x**k."""
+    out = unit
+    for _ in range(k):
+        out = times(out, x)
+    return out
+
+
+def assert_powers_are_repeated_products(D):
+    p = D.poly
+    for k in range(5):
+        assert p**k == repeated(p, k, Poly.const(p.n, 1), Poly.__mul__)
+        assert D**k == repeated(D, k, DiffOp.identity(D.n), DiffOp.compose)
+
+
+@given(small_ops())
+def test_powers_are_repeated_products(D):
+    assert_powers_are_repeated_products(D)
+
+
+@pytest.mark.parametrize("terms", [
+    pytest.param({(0, 1): Poly.monomial(2, (1, 0))}, id="t1*d2"),
+    pytest.param({(0, 0): Poly.monomial(2, (2, 0), Fraction(3, 2))}, id="3/2*t1^2"),
+    pytest.param({(1, 0): Poly.monomial(2, (1, 0))}, id="t1*d1"),
+    pytest.param({(1, 0): Poly.monomial(2, (1, 0)), (0, 0): Poly.const(2, -1)}, id="t1*d1-1"),
+    pytest.param({}, id="zero"),
+    pytest.param({(0, 0): Poly.const(2, Fraction(-5, 3))}, id="-5/3"),
+])
+def test_power_examples_are_repeated_products(terms):
+    # one-term bases that commute with themselves take the closed form; t1*d1 reorders with itself
+    assert_powers_are_repeated_products(DiffOp(2, terms))
+
+
 def test_rendering_edges():
     assert str(DiffOp.zero(2)) == "0"
     assert str(DiffOp.identity(2)) == "1"

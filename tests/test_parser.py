@@ -661,6 +661,32 @@ def test_a_finished_product_is_not_multiplied_by_one(monkeypatch):
     assert units == [] and len(products) > 2
 
 
+def test_a_power_of_a_base_that_commutes_with_itself_makes_no_kernel_product(monkeypatch):
+    # a one-term base commutes with itself, so its power is its exponents times k and its
+    # coefficient to the k-th, where k kernel products would each build one term
+    want = [
+        Poly.monomial(6, (100000,) * 6),
+        Poly.monomial(4, (100000, 0, 0, 100000), 3**100000),
+        Poly.monomial(2, (100000, 100000)),
+        Poly.monomial(1, (60000,), 3**60000),
+    ]
+    products = []
+    for owner, name in [(Poly, "__mul__"), (DiffOp, "compose")]:
+        def counted(left, right, name=name, inner=getattr(owner, name)):
+            products.append(name)
+            return inner(left, right)
+
+        monkeypatch.setattr(owner, name, counted)
+    got = [
+        parse_poly("(t1*t2*t3*t4*t5*t6)^100000"),
+        parse_operator("(3*t1*d2)^100000").poly,
+        parse_symbol("(t1*x1)^100000").poly,
+        parse_poly("(3*t1)^60000"),
+    ]
+    assert products == []
+    assert got == want
+
+
 # -- the size rule's verdicts ------------------------------------------------
 
 F = "(t1+t2+t3)^30"
