@@ -64,6 +64,19 @@ class JetMap:
         self.values = table
 
     @classmethod
+    def _make(cls, n: int, k: int, values: dict[MultiIndex, Poly]) -> "JetMap":
+        """Unchecked constructor for a table built on the basis itself.
+
+        values maps every MultiIndex of monomials_up_to(n, k), in that
+        order, to a Poly in n variables.
+        """
+        out = object.__new__(cls)
+        out.n = n
+        out.k = k
+        out.values = values
+        return out
+
+    @classmethod
     def zero(cls, n: int, k: int) -> "JetMap":
         return cls(n, k)
 
@@ -126,7 +139,7 @@ def restriction(D: DiffOp, k: int) -> JetMap:
                 key = new(MultiIndex, map(add, T, R))
                 acc[key] = get(key, 0) + c * scale
     den = D.poly._den
-    return JetMap(
+    return JetMap._make(
         n, k, {I: Poly._make(n, {key: c for key, c in acc.items() if c}, den) for I, acc in table.items()}
     )
 

@@ -4,7 +4,10 @@ Every law is a pure function of a GenConfig and a trial index: the RNG
 for trial t of law L is seeded from SHA-256 of "seed:L:t", so runs are
 reproducible across processes and machines, single trials can be
 replayed in isolation, and inserting a new law never shifts the random
-stream of an existing one.
+stream of an existing one.  The stream rests only on Random.getrandbits
+and Random.random: bounded integers come from _below, which draws what
+randrange draws today without relying on randrange's algorithm, which
+Python does not promise to keep.
 
 All checks are exact equalities of canonical forms or exact order
 comparisons; there are no tolerances anywhere.  A report with an empty
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 from .grothendieck import grothendieck_order, is_derivation, split_order_one
 from .jets import JetMap, from_jet_map, restriction
-from .operators import DiffOp, _words_poly, commutator
+from .operators import DiffOp, commutator
 from .parser import MAX_JET_BASIS
 from .poly import MultiIndex, Poly, monomials_up_to, reduce_by
 from .symbols import SymbolElem, principal_symbol, quantize, symbol_mul
@@ -133,12 +136,25 @@ def _trial_rng(cfg: GenConfig, law: str, trial: int) -> random.Random:
 # instance generators
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in range(n), n >= 1, from n.bit_length() random bits at a time.
+
+    The draws are those rng.randrange(n) consumes, and lo + _below(rng, n)
+    those of rng.randint(lo, lo + n - 1): rejection of getrandbits words.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _rational_pair(rng: random.Random, bound: int, nonzero: bool) -> tuple[int, int]:
     """The reduced (numerator, denominator) of a rational within the bound."""
-    num = rng.randint(1, bound) if nonzero else rng.randint(0, bound)
+    num = 1 + _below(rng, bound) if nonzero else _below(rng, bound + 1)
     if num and rng.random() < 0.5:
         num = -num
-    den = rng.randint(1, bound)
+    den = 1 + _below(rng, bound)
     g = math.gcd(num, den)
     return num // g, den // g
 
@@ -149,36 +165,63 @@ def gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fract
 
 def _spread(rng: random.Random, n: int, degree: int) -> MultiIndex:
     exps = [0] * n
+    k = n.bit_length()
+    bits = rng.getrandbits
     for _ in range(degree):
-        exps[rng.randrange(n)] += 1
-    return MultiIndex._make(exps)
+        i = bits(k)
+        while i >= n:  # _below, inlined
+            i = bits(k)
+        exps[i] += 1
+    return tuple.__new__(MultiIndex, exps)
 
 
 def gen_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
-    return _spread(rng, n, rng.randint(0, max_degree))
+    return _spread(rng, n, _below(rng, max_degree + 1))
 
 
-def gen_poly(cfg: GenConfig, rng: random.Random, nonzero: bool = False) -> Poly:
-    """Sparse polynomial, at most 3 monomials, coefficients within the bound.
+# a polynomial as drawn: each monomial's reduced (numerator, denominator)
+_Pairs = dict[MultiIndex, tuple[int, int]]
+
+
+def _coefficient_pairs(cfg: GenConfig, rng: random.Random, nonzero: bool) -> _Pairs:
+    """At most 3 monomials, each with a reduced nonzero (numerator, denominator) within the bound.
 
     Colliding monomial draws overwrite instead of accumulating, so every
     surviving coefficient still satisfies the magnitude bound.  Each
-    coefficient is drawn, as reduced integers, before its monomial: the
-    right-hand side of the assignment is evaluated first.
+    coefficient is drawn before its monomial: the right-hand side of the
+    assignment is evaluated first.
     """
-    terms: dict[MultiIndex, tuple[int, int]] = {}
-    for _ in range(rng.randint(1 if nonzero else 0, 3)):
+    terms: _Pairs = {}
+    for _ in range(_below(rng, 3) + 1 if nonzero else _below(rng, 4)):
         terms[gen_multiindex(rng, cfg.n, cfg.max_coeff_degree)] = _rational_pair(
             rng, cfg.coeff_bound, nonzero=True
         )
+    return terms
+
+
+def _pairs_poly(n: int, terms: _Pairs) -> Poly:
+    """The Poly in n variables with the coefficient p/q at each key, all over the lcm of the q."""
     den = math.lcm(*(q for _, q in terms.values()))
-    return Poly._make(cfg.n, {I: p * (den // q) for I, (p, q) in terms.items()}, den)
+    return Poly._make(n, {I: p * (den // q) for I, (p, q) in terms.items()}, den)
+
+
+def _words_pairs_poly(n: int, words: dict[MultiIndex, _Pairs]) -> Poly:
+    """The Poly in 2n variables of the terms (p/q) t^M y^J, from each word J's coefficient pairs."""
+    new = tuple.__new__
+    return _pairs_poly(
+        2 * n, {new(MultiIndex, (*M, *J)): pq for J, pairs in words.items() for M, pq in pairs.items()}
+    )
+
+
+def gen_poly(cfg: GenConfig, rng: random.Random, nonzero: bool = False) -> Poly:
+    """Sparse polynomial, at most 3 monomials, coefficients within the bound."""
+    return _pairs_poly(cfg.n, _coefficient_pairs(cfg, rng, nonzero))
 
 
 def gen_nonconstant_poly(cfg: GenConfig, rng: random.Random) -> Poly:
     p = gen_poly(cfg, rng, nonzero=True)
     if p.degree == 0:
-        p = p * Poly.variable(cfg.n, rng.randint(1, cfg.n))
+        p = p * Poly.variable(cfg.n, 1 + _below(rng, cfg.n))
     return p
 
 
@@ -189,32 +232,31 @@ def gen_point(cfg: GenConfig, rng: random.Random) -> tuple[Fraction, ...]:
 def gen_diffop(cfg: GenConfig, rng: random.Random, order: int | None = None) -> DiffOp:
     """Random operator with a forced nonzero word at the top order."""
     if order is None:
-        order = rng.randint(0, cfg.max_order)
-    terms: dict[MultiIndex, Poly] = {
-        _spread(rng, cfg.n, order): gen_poly(cfg, rng, nonzero=True)
-    }
-    for _ in range(rng.randint(0, 2)):
+        order = _below(rng, cfg.max_order + 1)
+    words = {_spread(rng, cfg.n, order): _coefficient_pairs(cfg, rng, nonzero=True)}
+    for _ in range(_below(rng, 3)):
         J = gen_multiindex(rng, cfg.n, order)
-        f = gen_poly(cfg, rng)
-        if J not in terms and f:
-            terms[J] = f
-    return DiffOp._make(cfg.n, _words_poly(cfg.n, terms.items()))
+        pairs = _coefficient_pairs(cfg, rng, nonzero=False)
+        if J not in words and pairs:
+            words[J] = pairs
+    return DiffOp._make(cfg.n, _words_pairs_poly(cfg.n, words))
 
 
 def gen_derivation(cfg: GenConfig, rng: random.Random) -> DiffOp:
-    coeffs = [gen_poly(cfg, rng) for _ in range(cfg.n)]
+    coeffs = [_coefficient_pairs(cfg, rng, nonzero=False) for _ in range(cfg.n)]
     if not any(coeffs):
-        coeffs[rng.randrange(cfg.n)] = gen_poly(cfg, rng, nonzero=True)
-    return DiffOp._make(cfg.n, _words_poly(cfg.n, [(MultiIndex.unit(cfg.n, i + 1), a) for i, a in enumerate(coeffs)]))
+        coeffs[_below(rng, cfg.n)] = _coefficient_pairs(cfg, rng, nonzero=True)
+    words = {MultiIndex.unit(cfg.n, i + 1): pairs for i, pairs in enumerate(coeffs)}
+    return DiffOp._make(cfg.n, _words_pairs_poly(cfg.n, words))
 
 
 def gen_symbol(cfg: GenConfig, rng: random.Random, grade: int | None = None) -> SymbolElem:
     if grade is None:
-        grade = rng.randint(0, cfg.max_order)
-    terms: dict[MultiIndex, Poly] = {}
-    for _ in range(rng.randint(1, 3)):
-        terms[_spread(rng, cfg.n, grade)] = gen_poly(cfg, rng, nonzero=True)
-    return SymbolElem._make(cfg.n, _words_poly(cfg.n, terms.items()), grade)
+        grade = _below(rng, cfg.max_order + 1)
+    words: dict[MultiIndex, _Pairs] = {}
+    for _ in range(1 + _below(rng, 3)):
+        words[_spread(rng, cfg.n, grade)] = _coefficient_pairs(cfg, rng, nonzero=True)
+    return SymbolElem._make(cfg.n, _words_pairs_poly(cfg.n, words), grade)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +406,7 @@ def _law_gorder(cfg: GenConfig, rng: random.Random, trial: int) -> str | None:
 
 
 def _law_diff1_split(cfg: GenConfig, rng: random.Random, trial: int) -> str | None:
-    D = gen_diffop(cfg, rng, order=rng.randint(0, 1))
+    D = gen_diffop(cfg, rng, order=_below(rng, 2))
     X, a = split_order_one(D)
     if not is_derivation(X):
         return f"D = {D}; split gave non-derivation X = {X}"
@@ -389,10 +431,8 @@ def _law_reconstruction(cfg: GenConfig, rng: random.Random, trial: int) -> str |
 
 
 def _law_interpolation(cfg: GenConfig, rng: random.Random, trial: int) -> str | None:
-    k = rng.randint(0, cfg.max_order)
-    table = JetMap(
-        cfg.n, k, {I: gen_poly(cfg, rng) for I in monomials_up_to(cfg.n, k)}
-    )
+    k = _below(rng, cfg.max_order + 1)
+    table = JetMap._make(cfg.n, k, {I: gen_poly(cfg, rng) for I in monomials_up_to(cfg.n, k)})
     D = from_jet_map(table)
     if D.order is not None and D.order > k:
         return f"table of degree {k} produced order {D.order}: D = {D}"
@@ -438,7 +478,7 @@ def _law_weyl_relations(cfg: GenConfig, rng: random.Random, trial: int) -> str |
     n = cfg.n
     f = gen_poly(cfg, rng, nonzero=True)
     g = gen_poly(cfg, rng)
-    i, j = rng.randint(1, n), rng.randint(1, n)
+    i, j = 1 + _below(rng, n), 1 + _below(rng, n)
     di, mf = DiffOp.partial(n, i), DiffOp.from_poly(f)
     got = commutator(di, mf)
     if got != DiffOp.from_poly(f.partial(i)):

@@ -7,7 +7,9 @@ factor common to all of them.  The empty dict over den 1 is the zero
 polynomial.  Arithmetic is integer work followed by one gcd reduction,
 and Fraction appears only at the API boundary: constructors take int or
 Fraction coefficients and Poly.terms shows them as Fractions.  Printing
-reads the numerators too (render_numerators), one gcd per coefficient.
+reads the numerators too (render_numerators), one gcd per coefficient,
+and evaluate sums integers over one common denominator, making a single
+Fraction at the end.
 Because the representation is canonical, equality of polynomials is
 equality of the stored data.
 
@@ -24,7 +26,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
-from operator import add, sub
+from operator import add, getitem, sub
 
 Scalar = int | Fraction
 
@@ -303,16 +305,23 @@ class Poly:
         return Poly._make(self.n, acc, self._den)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+        """The value at point, as integer work with one Fraction at the end.
+
+        With x_i = p_i/q_i and e_i the largest exponent of t_i, the term
+        c * x^I is c * prod of p_i^I_i * q_i^(e_i - I_i) over the common
+        denominator den * prod of q_i^e_i.
+        """
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.n}")
         xs = [_coefficient(x) for x in point]
-        total = _ZERO
-        for I, c in self._num.items():
-            v = Fraction(c)
-            for x, e in zip(xs, I):
-                v *= x**e
-            total += v
-        return total / self._den
+        den = self._den
+        rows = []  # rows[i][a] = p_i^a * q_i^(e_i - a), for each exponent a of t_i in use
+        for x, column in zip(xs, zip(*self._num)):
+            e, p, q = max(column), x.numerator, x.denominator
+            rows.append({a: p**a * q ** (e - a) for a in set(column)})
+            den *= q**e
+        total = sum(c * math.prod(map(getitem, rows, I)) for I, c in self._num.items())
+        return Fraction(total, den)
 
     def leading(self) -> tuple[MultiIndex, Fraction]:
         """Leading term under graded-lex order; errors on the zero polynomial."""
@@ -326,9 +335,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.n}: {self})"
-
-
-_ZERO = Fraction(0)
 
 
 def _integer_form(terms: Mapping[MultiIndex, Scalar]) -> tuple[dict[MultiIndex, int], int]:
@@ -383,7 +389,7 @@ def monomials_up_to(n: int, k: int) -> list[MultiIndex]:
 
     def fill(remaining: int, pos: int, acc: list[int]) -> None:
         if pos == n - 1:
-            out.append(MultiIndex(acc + [remaining]))
+            out.append(MultiIndex._make(acc + [remaining]))
             return
         for e in range(remaining, -1, -1):
             fill(remaining - e, pos + 1, acc + [e])

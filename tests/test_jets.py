@@ -105,6 +105,16 @@ def test_restriction_matches_the_applied_oracle(case):
     assert restriction(D, k) == applied_restriction(D, k)
 
 
+@given(operator_and_degree())
+def test_restriction_table_is_what_the_validating_constructor_builds(case):
+    D, k = case
+    A = restriction(D, k)
+    B = JetMap(D.n, k, A.values)
+    assert A == B
+    assert list(A.values) == list(B.values) == monomials_up_to(D.n, k)
+    assert A.render() == B.render() and repr(A) == repr(B)
+
+
 def test_restriction_oracle_examples():
     half = Fraction(1, 2)
     D = DiffOp(2, {(2, 1): t(1) * half, (1, 0): t(2) - Fraction(2, 3), (0, 0): Poly.const(2, 5), (4, 0): t(2)})

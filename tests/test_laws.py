@@ -14,6 +14,7 @@ from weylcalc.laws import (
     LAWS,
     LawReport,
     MAX_COUNTEREXAMPLES,
+    _below,
     _trial_rng,
     gen_derivation,
     gen_diffop,
@@ -233,3 +234,25 @@ def test_commutator_drop_catches_a_skewed_binomial(monkeypatch):
 
     monkeypatch.setattr(weylcalc.operators, "_binom", skewed)
     assert run_law("commutator-drop", ACCEPTANCE_CONFIG).failure_count > 0
+
+
+def test_below_draws_what_randrange_and_randint_draw():
+    # _below keeps, draw for draw, the stream that randrange and randint drew before it
+    for seed in range(20):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in [*range(1, 41), 255, 256, 1000, 2**40 + 3]:
+            assert _below(ours, n) == ref.randrange(n)
+            assert 7 + _below(ours, n) == ref.randint(7, 7 + n - 1)
+        assert ours.random() == ref.random()
+
+
+def test_every_law_draws_are_pinned():
+    # the verdicts and the draws of the laws themselves, their bodies' own draws included
+    digest = hashlib.sha256()
+    for cfg in (ACCEPTANCE_CONFIG, GenConfig(n=1, max_order=4, coeff_bound=7)):
+        for law, fn in LAWS.items():
+            for t in range(10):
+                rng = _trial_rng(cfg, law, t)
+                verdict = fn(cfg, rng, t)
+                digest.update(repr((law, t, verdict, rng.random())).encode())
+    assert digest.hexdigest() == "c197a573fd09996f341ae508ecfba0f87e44a9df2521e54f266c16f4a3ff52a6"

@@ -82,6 +82,46 @@ def test_evaluate():
     assert Poly.zero(2).evaluate((1, 1)) == 0
 
 
+def points(n):
+    return st.tuples(*[st.one_of(st.integers(-5, 5), coeffs()) for _ in range(n)])
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(p, x) in 1..3 variables: p may be zero, x mixes zero, negative, int and Fraction coordinates."""
+    n = draw(st.integers(1, 3))
+    return draw(polys(n=n)), draw(points(n))
+
+
+def fraction_evaluate(p, x):
+    """Test-only oracle: the sum over p.terms of c * prod of x_i^I_i, in Fractions."""
+    total = Fraction(0)
+    for I, c in p.terms.items():
+        v = c
+        for xi, e in zip(x, I):
+            v *= Fraction(xi) ** e
+        total += v
+    return total
+
+
+@given(evaluation_cases())
+def test_evaluate_matches_the_fraction_oracle(case):
+    p, x = case
+    got = p.evaluate(x)
+    assert type(got) is Fraction and got == fraction_evaluate(p, x)
+
+
+def test_evaluate_oracle_examples():
+    p = Poly(2, {(3, 0): 2, (1, 2): Fraction(-1, 3), (0, 0): 5})
+    for x in [(0, 0), (Fraction(-2, 3), 4), (Fraction(1, 2), Fraction(-3, 5)), (-1, Fraction(0))]:
+        assert p.evaluate(x) == fraction_evaluate(p, x)
+    assert Poly.zero(3).evaluate((Fraction(1, 2), -1, 0)) == 0
+    with pytest.raises(TypeError):
+        p.evaluate((0.5, 1))
+    with pytest.raises(ValueError):
+        p.evaluate((1,))
+
+
 def test_monomials_up_to_order_and_count():
     assert [tuple(I) for I in monomials_up_to(2, 1)] == [(0, 0), (1, 0), (0, 1)]
     assert [tuple(I) for I in monomials_up_to(2, 2)] == [
@@ -97,6 +137,11 @@ def test_monomials_up_to_order_and_count():
     assert len(monomials_up_to(3, 2)) == 10
     assert len(monomials_up_to(3, 3)) == 20
     assert len(monomials_up_to(1, 0)) == 1
+    # built unchecked, the keys are still MultiIndex of nonnegative ints
+    for n, k in [(1, 0), (1, 5), (2, 3), (3, 3)]:
+        for I in monomials_up_to(n, k):
+            assert type(I) is MultiIndex and len(I) == n
+            assert all(type(e) is int and e >= 0 for e in I)
 
 
 def test_reduce_by_examples():
