@@ -123,8 +123,7 @@ def restriction(D: DiffOp, k: int) -> JetMap:
         raise ValueError(f"degree bound must be nonnegative, got {k}")
     n = D.n
     basis = monomials_up_to(n, k)
-    new = tuple.__new__
-    table: dict[MultiIndex, dict[MultiIndex, int]] = {I: {} for I in basis}
+    table: dict[MultiIndex, dict[tuple, int]] = {I: {} for I in basis}
     for J, group in _by_word(n, D.poly).items():
         room = k - sum(J)
         if room < 0:
@@ -132,11 +131,12 @@ def restriction(D: DiffOp, k: int) -> JetMap:
         terms = [(key[:n], c) for key, c in group]
         # basis ascends through degrees, so its first C(n + room, n) entries have degree <= room
         for R in basis[: math.comb(n + room, n)]:
-            acc = table[new(MultiIndex, map(add, J, R))]
+            I = (*map(add, J, R),)
+            acc = table[I]
             get = acc.get
-            scale = math.prod(map(math.perm, map(add, J, R), J))
+            scale = math.prod(map(math.perm, I, J))
             for T, c in terms:
-                key = new(MultiIndex, map(add, T, R))
+                key = (*map(add, T, R),)
                 acc[key] = get(key, 0) + c * scale
     den = D.poly._den
     return JetMap._make(
@@ -161,8 +161,7 @@ def from_jet_map(A: JetMap) -> DiffOp:
         K: [((*M, *(0,) * n), c * (den // p._den)) for M, c in p._num.items()]
         for K, p in values
     }
-    new = tuple.__new__
-    acc: dict[MultiIndex, int] = {}
+    acc: dict[tuple, int] = {}
     get = acc.get
     for J in A.values:
         scale = top // J.factorial
@@ -175,7 +174,7 @@ def from_jet_map(A: JetMap) -> DiffOp:
             if (J.degree - K.degree) % 2:
                 coeff = -coeff
             for M, c in column:
-                key = new(MultiIndex, map(add, M, shift))
+                key = (*map(add, M, shift),)
                 acc[key] = get(key, 0) + c * coeff
     num = {key: c for key, c in acc.items() if c}
     return DiffOp._make(n, Poly._make(2 * n, num, den * top))

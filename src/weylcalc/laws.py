@@ -163,7 +163,7 @@ def gen_rational(rng: random.Random, bound: int, nonzero: bool = False) -> Fract
     return Fraction(*_rational_pair(rng, bound, nonzero))
 
 
-def _spread(rng: random.Random, n: int, degree: int) -> MultiIndex:
+def _spread(rng: random.Random, n: int, degree: int) -> tuple[int, ...]:
     exps = [0] * n
     k = n.bit_length()
     bits = rng.getrandbits
@@ -172,15 +172,15 @@ def _spread(rng: random.Random, n: int, degree: int) -> MultiIndex:
         while i >= n:  # _below, inlined
             i = bits(k)
         exps[i] += 1
-    return tuple.__new__(MultiIndex, exps)
+    return tuple(exps)
 
 
-def gen_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
+def gen_multiindex(rng: random.Random, n: int, max_degree: int) -> tuple[int, ...]:
     return _spread(rng, n, _below(rng, max_degree + 1))
 
 
 # a polynomial as drawn: each monomial's reduced (numerator, denominator)
-_Pairs = dict[MultiIndex, tuple[int, int]]
+_Pairs = dict[tuple[int, ...], tuple[int, int]]
 
 
 def _coefficient_pairs(cfg: GenConfig, rng: random.Random, nonzero: bool) -> _Pairs:
@@ -205,12 +205,9 @@ def _pairs_poly(n: int, terms: _Pairs) -> Poly:
     return Poly._make(n, {I: p * (den // q) for I, (p, q) in terms.items()}, den)
 
 
-def _words_pairs_poly(n: int, words: dict[MultiIndex, _Pairs]) -> Poly:
+def _words_pairs_poly(n: int, words: dict[tuple[int, ...], _Pairs]) -> Poly:
     """The Poly in 2n variables of the terms (p/q) t^M y^J, from each word J's coefficient pairs."""
-    new = tuple.__new__
-    return _pairs_poly(
-        2 * n, {new(MultiIndex, (*M, *J)): pq for J, pairs in words.items() for M, pq in pairs.items()}
-    )
+    return _pairs_poly(2 * n, {(*M, *J): pq for J, pairs in words.items() for M, pq in pairs.items()})
 
 
 def gen_poly(cfg: GenConfig, rng: random.Random, nonzero: bool = False) -> Poly:
@@ -253,7 +250,7 @@ def gen_derivation(cfg: GenConfig, rng: random.Random) -> DiffOp:
 def gen_symbol(cfg: GenConfig, rng: random.Random, grade: int | None = None) -> SymbolElem:
     if grade is None:
         grade = _below(rng, cfg.max_order + 1)
-    words: dict[MultiIndex, _Pairs] = {}
+    words: dict[tuple[int, ...], _Pairs] = {}
     for _ in range(1 + _below(rng, 3)):
         words[_spread(rng, cfg.n, grade)] = _coefficient_pairs(cfg, rng, nonzero=True)
     return SymbolElem._make(cfg.n, _words_pairs_poly(cfg.n, words), grade)

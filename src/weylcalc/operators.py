@@ -105,7 +105,7 @@ class _NormalForm:
         """The nonzero coefficient f_J of each word J, a Poly in t1..tn, built from poly on each access."""
         n, new, den = self.n, tuple.__new__, self.poly._den
         return {
-            new(MultiIndex, J): Poly._make(n, {new(MultiIndex, key[:n]): c for key, c in group}, den)
+            new(MultiIndex, J): Poly._make(n, {key[:n]: c for key, c in group}, den)
             for J, group in _by_word(n, self.poly).items()
         }
 
@@ -149,11 +149,13 @@ class _NormalForm:
         """Words in descending graded-lex order, each as (f)*word; y is written prefix.
 
         The text is read off the numerators of poly, grouped by word, over
-        its one denominator; no coefficient Poly is built.
+        its one denominator; no coefficient Poly is built, and each
+        t-monomial is formatted once.
         """
         n, den = self.n, self.poly._den
         prefix = prefix or self._prefix
         groups = _by_word(n, self.poly)
+        monos: dict[tuple, str] = {}
         out = ""
         for J in sorted(groups, key=_print_key):
             group = groups[J]
@@ -161,7 +163,7 @@ class _NormalForm:
             if word and len(group) == 1 and group[0][1] == den and not any(group[0][0][:n]):
                 body = word  # the coefficient is 1
             else:
-                f = render_numerators([(key[:n], c) for key, c in group], den, "t")
+                f = render_numerators([(key[:n], c) for key, c in group], den, "t", monos)
                 body = f"({f})*{word}" if word else f
             if not out:
                 out = body
@@ -175,21 +177,21 @@ class _NormalForm:
         return self.render()
 
 
-def _words_poly(n: int, pairs: Iterable[tuple[MultiIndex, Poly]]) -> Poly:
-    """The Poly in 2n variables of the terms f_J * y^J, unchecked: each J a MultiIndex of length n, f_J a Poly in n.
+def _words_poly(n: int, pairs: Iterable[tuple[Sequence[int], Poly]]) -> Poly:
+    """The Poly in 2n variables of the terms f_J * y^J, unchecked.
 
-    Every coefficient goes over the lcm of their denominators and is
-    added per (t, y) exponent, so repeated words are summed.
+    Each J is n nonnegative ints and each f_J a Poly in n.  Every
+    coefficient goes over the lcm of their denominators and is added
+    per (t, y) exponent, so repeated words are summed.
     """
     pairs = list(pairs)
     den = math.lcm(*(f._den for _, f in pairs))
-    new = tuple.__new__
-    acc: dict[MultiIndex, int] = {}
+    acc: dict[tuple, int] = {}
     get = acc.get
     for J, f in pairs:
         scale = den // f._den
         for M, c in f._num.items():
-            key = new(MultiIndex, (*M, *J))
+            key = (*M, *J)
             acc[key] = get(key, 0) + c * scale
     return Poly._make(2 * n, {key: c for key, c in acc.items() if c}, den)
 
@@ -202,9 +204,9 @@ def _reach(keys: Iterable[Sequence[int]]) -> list[int]:
     return [max(column) for column in zip(*keys)]
 
 
-def _by_word(n: int, poly: Poly) -> dict[tuple, list[tuple[MultiIndex, int]]]:
+def _by_word(n: int, poly: Poly) -> dict[tuple, list[tuple[tuple, int]]]:
     """The (exponents, numerator) pairs of poly, grouped by their last n exponents."""
-    groups: dict[tuple, list[tuple[MultiIndex, int]]] = {}
+    groups: dict[tuple, list[tuple[tuple, int]]] = {}
     for key, c in poly._num.items():
         group = groups.get(key[n:])
         if group is None:
@@ -268,17 +270,16 @@ class DiffOp(_NormalForm):
             raise ValueError(f"operator in {self.n} variables applied to polynomial in {p.n}")
         # for each word J: the numerators of d^J(p), keyed by exponents less J, then
         # each times every numerator of f_J (already over den(D)), added into one integer dict
-        new = tuple.__new__
         items = p._num.items()
         reach = _reach(p._num)
-        acc: dict[MultiIndex, int] = {}
+        acc: dict[tuple, int] = {}
         get = acc.get
         for J, group in _by_word(self.n, self.poly).items():
             if any(J):
                 if not all(map(le, J, reach)):
                     continue
                 dp = [
-                    (tuple(map(sub, I, J)), e * math.prod(map(math.perm, I, J)))
+                    ((*map(sub, I, J),), e * math.prod(map(math.perm, I, J)))
                     for I, e in items
                     if all(map(ge, I, J))
                 ]
@@ -289,7 +290,7 @@ class DiffOp(_NormalForm):
             for M, c in group:
                 for R, v in dp:
                     # map stops at the end of R, so only the t-half of M is added
-                    key = new(MultiIndex, map(add, M, R))
+                    key = (*map(add, M, R),)
                     acc[key] = get(key, 0) + c * v
         return Poly._make(self.n, {key: c for key, c in acc.items() if c}, self.poly._den * p._den)
 
@@ -310,7 +311,7 @@ class DiffOp(_NormalForm):
             raise ValueError(f"mixing operators in {self.n} and {other.n} variables")
         n = self.n
         a, b = self.poly, other.poly
-        acc: dict[MultiIndex, int] = {}
+        acc: dict[tuple, int] = {}
         _add_star(n, a, b, 1, False, acc)
         return DiffOp._make(n, Poly._make(2 * n, {key: c for key, c in acc.items() if c}, a._den * b._den))
 
@@ -338,7 +339,7 @@ class DiffOp(_NormalForm):
         return f"DiffOp({self.n}: {self})"
 
 
-def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[MultiIndex, int]) -> None:
+def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[tuple, int]) -> None:
     """Add sign times the numerators of the star product a * b into acc, over a._den * b._den.
 
     The left terms are grouped by word X.  For each K <= X, every left
@@ -351,7 +352,6 @@ def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[Mu
     """
     if not b:
         return
-    new = tuple.__new__
     reach = _reach(key[:n] for key in b._num)
     # K -> the right terms d_t^K keeps: (exponents less K in both halves, numerator
     # times falling factorials), so that adding a left key gives t^(T+S-K) xi^(X-K+Y);
@@ -364,7 +364,7 @@ def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[Mu
             if right is None:
                 both = (*K, *K)
                 right = derivatives[K] = [
-                    (tuple(map(sub, N, both)), d * math.prod(map(math.perm, N, K)))
+                    ((*map(sub, N, both),), d * math.prod(map(math.perm, N, K)))
                     for N, d in b._num.items()
                     if all(map(ge, N, K))
                 ]
@@ -374,7 +374,7 @@ def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[Mu
             for M, c in left:
                 c *= coeff
                 for N, d in right:
-                    key = new(MultiIndex, map(add, M, N))
+                    key = (*map(add, M, N),)
                     acc[key] = get(key, 0) + c * d
 
 
@@ -391,7 +391,7 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     if b.n != a.n:
         raise ValueError(f"mixing operators in {a.n} and {b.n} variables")
     n = a.n
-    acc: dict[MultiIndex, int] = {}
+    acc: dict[tuple, int] = {}
     _add_star(n, a.poly, b.poly, 1, True, acc)
     _add_star(n, b.poly, a.poly, -1, True, acc)
     num = {key: c for key, c in acc.items() if c}

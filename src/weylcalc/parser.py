@@ -24,11 +24,14 @@ terms times coefficient bits could be over MAX_POWER_BITS.  A jet
 table's basis holds at most MAX_JET_BASIS monomials.
 
 Text becomes a tree in two stages: one regular-expression scan into
-tokens, then recursive descent over the grammar.  Sum and product
-chains come out left-deep, so only nesting makes the descent recurse.
-The tree nodes (Num, Var, Neg, Pow, Add, Sub, Mul) are plain slotted
-classes that compare, print and refuse hashing as dataclasses would;
-they are not dataclasses, so that importing the parser stays cheap.
+tokens, then one loop that descends the grammar, with an explicit stack
+of the open parentheses, so that no input makes it recurse.  Sum and
+product chains come out left-deep.  The tree nodes (Num, Var, Neg, Pow,
+Add, Sub, Mul) are plain slotted classes that compare, print and refuse
+hashing as dataclasses would; they are not dataclasses, so that
+importing the parser stays cheap.  A Num holds an int for an integer
+literal and a Fraction only for n/d; the two compare equal where their
+values do.
 
 One evaluator turns a tree into a polynomial, an operator or a symbol.
 Its values are the kernel's own Poly, sums of normal-ordered terms
@@ -84,7 +87,7 @@ from .poly import MultiIndex, Poly
 from .symbols import SymbolElem
 
 # How deep parentheses and unary minus may nest; each level costs a few
-# Python frames in the parser, so this stays far below the recursion limit.
+# Python frames in the evaluator, so this stays far below the recursion limit.
 MAX_NESTING = 100
 # The longest number, in decimal digits: the interpreter's default limit on
 # int/str conversion, so every number that prints by default parses back.
@@ -99,6 +102,9 @@ MAX_POWER_BITS = 2**20
 # The most monomials a jet table's basis may have: C(n+K, K) in n variables
 # at degree K.
 MAX_JET_BASIS = 300
+# One entry of a jet table's index: decimal digits, a minus sign allowed so
+# that a negative exponent gets its own message.
+_JET_ENTRY = re.compile(rf"\s*-?\d{{1,{MAX_DIGITS}}}\s*")
 
 
 class ParseError(ValueError):
@@ -134,7 +140,7 @@ class _Node:
 class Num(_Node):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: int | Fraction):
         self.value = value
 
 
@@ -192,12 +198,13 @@ Node = Num | Var | Neg | Pow | Add | Sub | Mul
 # operator character itself, and index is the variable index (0 otherwise).
 Token = tuple[str, str, int, int]
 
-# After optional whitespace, one of: a number of at most MAX_DIGITS digits, a
-# letter run with the decimal digits after it, an operator, a longer number,
-# any other character, the end.  \d is exactly what int() reads; the letter
-# class also takes numeric characters such as '²' and '½', which _bad_variable
-# rejects.
-_TOKEN = re.compile(rf"\s*(?:(\d{{1,{MAX_DIGITS}}})(?!\d)|([^\W\d_]+)(\d*)|([-+*^/()])|(\d+)|(.)|\Z)", re.DOTALL)
+# After optional whitespace, one of: an operator, a number of at most
+# MAX_DIGITS digits, a letter run with the decimal digits after it, a longer
+# number, any other character, the end.  The first three never match at one
+# place, so trying the operator first changes no token.  \d is exactly what
+# int() reads; the letter class also takes numeric characters such as '²'
+# and '½', which _bad_variable rejects.
+_TOKEN = re.compile(rf"\s*(?:([-+*^/()])|(\d{{1,{MAX_DIGITS}}})(?!\d)|([^\W\d_]+)(\d*)|(\d+)|(.)|\Z)", re.DOTALL)
 
 
 def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
@@ -205,15 +212,15 @@ def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
     append = tokens.append
     for m in _TOKEN.finditer(src):
         group = m.lastindex
-        if group == 4:
-            append((m[4], m[4], m.end(), 0))
-        elif group == 1:
-            append(("num", m[1], m.start(1) + 1, 0))
-        elif group == 3:
-            word, digits = m[2], m[3]
+        if group == 1:
+            append((m[1], m[1], m.end(), 0))
+        elif group == 4:
+            word, digits = m[3], m[4]
             if not (word in prefixes and 0 < len(digits) <= MAX_DIGITS and 0 < (index := int(digits)) <= MAX_INDEX):
-                _bad_variable(word, digits, m.start(2) + 1, prefixes)
-            append(("var", word, m.start(2) + 1, index))
+                _bad_variable(word, digits, m.start(3) + 1, prefixes)
+            append(("var", word, m.start(3) + 1, index))
+        elif group == 2:
+            append(("num", m[2], m.start(2) + 1, 0))
         elif group == 5:
             raise ParseError(m.start(5) + 1, f"number longer than {MAX_DIGITS} digits")
         elif group == 6:
@@ -245,97 +252,86 @@ def _bad_variable(word: str, digits: str, offset: int, prefixes: frozenset[str])
     raise ParseError(offset, f"variable index {int(digits)} exceeds {MAX_INDEX}")
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
+def _parse(tokens: list[Token]) -> Node:
+    """The tree of the tokens, by one loop over them.
 
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, _, offset, _ = self.tokens[self.pos]
-        if kind != "eof":
-            raise ParseError(offset, "unexpected trailing input")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        tokens = self.tokens
-        while True:
-            kind = tokens[self.pos][0]
-            if kind == "+":
-                self.pos += 1
-                node = Add(node, self.term())
-            elif kind == "-":
-                self.pos += 1
-                node = Sub(node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        tokens = self.tokens
-        while tokens[self.pos][0] == "*":
-            self.pos += 1
-            node = Mul(node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        self.pos += 1
-        kind, text, offset, index = tok
+    The state is that of the innermost open parenthesis: its sum so far,
+    the pending '+' or '-' (Add or Sub), its product so far and the count
+    of minus signs before the factor being read.  '(' pushes the state
+    of the level it opens; ')' pops it, and the closed sum is a primary.
+    depth counts open parentheses and the minus signs whose factor is
+    not yet read.
+    """
+    stack: list[tuple] = []
+    total = op = prod = None
+    negs = depth = pos = 0
+    while True:
+        kind, text, offset, index = tokens[pos]
+        pos += 1
         if kind == "var":
             node = Var(text, index, offset)
         elif kind == "num":
-            if tokens[self.pos][0] == "/":
-                self.pos += 1
-                den = self.positive("expected a positive integer denominator", "denominator must be positive")
-                node = Num(Fraction(int(text), den))
+            value = int(text)
+            if tokens[pos][0] == "/":
+                kind, text, offset, _ = tokens[pos + 1]
+                if kind != "num":
+                    raise ParseError(offset, "expected a positive integer denominator")
+                if (den := int(text)) < 1:
+                    raise ParseError(offset, "denominator must be positive")
+                value, pos = Fraction(value, den), pos + 2
+            node = Num(value)
+        elif kind == "-" or kind == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(offset, f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
+            if kind == "-":
+                negs += 1
             else:
-                node = Num(Fraction(int(text)))
-        elif kind == "-":
-            self.enter(tok)
-            node = Neg(self.factor())
-            self.depth -= 1
-            return node
-        elif kind == "(":
-            self.enter(tok)
-            node = self.expr()
-            kind, _, offset, _ = tokens[self.pos]
-            if kind != ")":
-                raise ParseError(offset, "expected ')'")
-            self.pos += 1
-            self.depth -= 1
+                stack.append((total, op, prod, negs))
+                total = op = prod = None
+                negs = 0
+            continue
         else:
             raise ParseError(offset, "expected a number, a variable, or '('")
-        if tokens[self.pos][0] == "^":
-            self.pos += 1
-            offset = tokens[self.pos][2]
-            exponent = self.positive("expected a positive integer exponent", "exponent must be at least 1")
-            if exponent > MAX_EXPONENT:
-                raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
-            node = Pow(node, exponent)
-        return node
-
-    def positive(self, expected: str, too_small: str) -> int:
-        kind, text, offset, _ = self.tokens[self.pos]
-        if kind != "num":
-            raise ParseError(offset, expected)
-        self.pos += 1
-        value = int(text)
-        if value < 1:
-            raise ParseError(offset, too_small)
-        return value
-
-    def enter(self, tok: Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(tok[2], f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
+        while True:  # node is a primary: take its power and signs, then what follows the factor
+            kind, _, offset, _ = tokens[pos]
+            pos += 1
+            if kind == "^":
+                kind, text, offset, _ = tokens[pos]
+                if kind != "num":
+                    raise ParseError(offset, "expected a positive integer exponent")
+                if (exponent := int(text)) < 1:
+                    raise ParseError(offset, "exponent must be at least 1")
+                if exponent > MAX_EXPONENT:
+                    raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
+                node = Pow(node, exponent)
+                kind, _, offset, _ = tokens[pos + 1]
+                pos += 2
+            if negs:
+                depth -= negs
+                for _ in range(negs):
+                    node = Neg(node)
+                negs = 0
+            prod = node if prod is None else Mul(prod, node)
+            if kind == "*":
+                break
+            total, prod = prod if op is None else op(total, prod), None
+            if kind == "+" or kind == "-":
+                op = Add if kind == "+" else Sub
+                break
+            if not stack:
+                if kind != "eof":
+                    raise ParseError(offset, "unexpected trailing input")
+                return total
+            if kind != ")":
+                raise ParseError(offset, "expected ')'")
+            depth -= 1
+            node = total
+            total, op, prod, negs = stack.pop()
 
 
 def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> Node:
-    return _Parser(_tokenize(src, frozenset(prefixes))).parse()
+    return _parse(_tokenize(src, frozenset(prefixes)))
 
 
 def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> int:
@@ -418,15 +414,14 @@ class _Evaluator:
             return polys[0]
         # all parts at once over one denominator: pairwise + would be quadratic in long sums
         den = lcm(*(part._den for part in polys), *(c.denominator for _, c in terms))
-        acc: dict[MultiIndex, int] = {}
+        acc: dict[tuple, int] = {}
         get = acc.get
         for part in polys:
             scale = den // part._den
             for key, c in part._num.items():
                 acc[key] = get(key, 0) + c * scale
-        new = tuple.__new__
         for exps, c in terms:
-            key = new(MultiIndex, exps)
+            key = tuple(exps)
             acc[key] = get(key, 0) + c.numerator * (den // c.denominator)
         return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
 
@@ -624,7 +619,7 @@ class _Evaluator:
 
 def _term(exps: list[int], c: int | Fraction) -> Poly:
     """The one-term Poly c * t^a * y^b with exponents exps."""
-    num = {MultiIndex._make(exps): c.numerator} if c else {}
+    num = {tuple(exps): c.numerator} if c else {}
     return Poly._make(len(exps), num, c.denominator)
 
 
@@ -724,9 +719,10 @@ def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> Symbol
 def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
     """Jet table in the line format 'i1,...,in -> polynomial'.
 
-    Blank lines are skipped; absent monomials default to the zero
-    value; duplicate lines for one monomial are an error.  The number
-    of variables is the width of the index column unless n is given.
+    Each index entry is decimal digits.  Blank lines are skipped; absent
+    monomials default to the zero value; duplicate lines for one
+    monomial are an error.  The number of variables is the number of
+    index entries unless n is given.
     """
     if degree < 0:
         raise ParseError(None, f"degree must be nonnegative, got {degree}")
@@ -739,10 +735,10 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
         if "->" not in line:
             raise ParseError(None, f"line {lineno}: expected 'i1,...,in -> polynomial'")
         left, _, right = line.partition("->")
-        try:
-            exps = tuple(int(part.strip()) for part in left.strip().split(","))
-        except ValueError:
-            raise ParseError(None, f"line {lineno}: bad monomial index {left.strip()!r}") from None
+        parts = left.split(",")
+        if not all(map(_JET_ENTRY.fullmatch, parts)):
+            raise ParseError(None, f"line {lineno}: bad monomial index {left.strip()!r}")
+        exps = tuple(map(int, parts))
         if any(e < 0 for e in exps):
             raise ParseError(None, f"line {lineno}: negative exponent in {exps}")
         if width is None:

@@ -2,14 +2,19 @@
 
 A polynomial in the variables t1, ..., tn is stored as integer
 numerators over one shared positive denominator: a dict mapping
-exponent vectors (MultiIndex) to nonzero ints, and an int den with no
-factor common to all of them.  The empty dict over den 1 is the zero
-polynomial.  Arithmetic is integer work followed by one gcd reduction,
-and Fraction appears only at the API boundary: constructors take int or
-Fraction coefficients and Poly.terms shows them as Fractions.  Printing
-reads the numerators too (render_numerators), one gcd per coefficient,
-and evaluate sums integers over one common denominator, making a single
-Fraction at the end.
+exponent vectors, plain tuples of n nonnegative ints, to nonzero ints,
+and an int den with no factor common to all of them.  The empty dict
+over den 1 is the zero polynomial.  Plain tuples are the cheapest keys
+the arithmetic loops can build, written (*map(add, I, J),); MultiIndex
+is the validated exponent type of the API, which the constructors
+check their input with and every view (terms, leading,
+monomials_up_to, subindices) returns.  Arithmetic is integer work
+followed by one gcd reduction, and Fraction appears only at the API
+boundary: constructors take int or Fraction coefficients and Poly.terms
+shows them as Fractions.  Printing reads the numerators too
+(render_numerators), one gcd per coefficient, and evaluate sums
+integers over one common denominator, making a single Fraction at the
+end.
 Because the representation is canonical, equality of polynomials is
 equality of the stored data.
 
@@ -26,7 +31,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
-from operator import add, getitem, sub
+from operator import add, getitem, neg, sub
 
 Scalar = int | Fraction
 
@@ -96,7 +101,7 @@ def grlex_key(I: Sequence[int]) -> tuple:
 
 def _print_key(I: Sequence[int]) -> tuple:
     # descending degree, then descending lex within a degree
-    return (-sum(I), tuple(-e for e in I))
+    return (-sum(I), (*map(neg, I),))
 
 
 def subindices(I: MultiIndex) -> Iterator[MultiIndex]:
@@ -127,10 +132,11 @@ class Poly:
     """Polynomial in t1..tn with rational coefficients, kept in canonical form.
 
     The coefficients are integer numerators over one shared denominator:
-    _num maps length-n MultiIndex keys to nonzero ints and _den is a
+    _num maps length-n plain int tuples to nonzero ints and _den is a
     positive int with gcd(_den, *_num.values()) == 1, so the zero
     polynomial has _den == 1.  The form is unique, so equality is
-    equality of (n, _den, _num).  terms is the Fraction view of it.
+    equality of (n, _den, _num).  terms is the Fraction view of it,
+    keyed by MultiIndex.
 
     Instances are treated as immutable; all operations return new objects.
     The public constructors validate and canonicalise their input; every
@@ -143,7 +149,7 @@ class Poly:
     def __init__(self, n: int, terms: Mapping[Sequence[int], Scalar] | Iterable = ()):
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
-        canon: dict[MultiIndex, Scalar] = {}
+        canon: dict[tuple, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for I, c in items:
             ix = I if isinstance(I, MultiIndex) else MultiIndex(I)
@@ -151,13 +157,14 @@ class Poly:
                 raise ValueError(f"multi-index {tuple(ix)} has length {len(ix)}, expected {n}")
             c = _coefficient(c)
             if c:
-                canon[ix] = canon.get(ix, 0) + c
+                key = tuple(ix)
+                canon[key] = canon.get(key, 0) + c
         self.n = n
         self._num, self._den = _integer_form(canon)
 
     @classmethod
-    def _make(cls, n: int, num: dict[MultiIndex, int], den: int) -> "Poly":
-        """Unchecked constructor: num maps length-n MultiIndex keys to nonzero ints, den > 0.
+    def _make(cls, n: int, num: dict[tuple, int], den: int) -> "Poly":
+        """Unchecked constructor: num maps length-n plain int tuples to nonzero ints, den > 0.
 
         Divides out the common factor of den and the numerators.
         """
@@ -174,8 +181,8 @@ class Poly:
     @property
     def terms(self) -> dict[MultiIndex, Fraction]:
         """The nonzero coefficients as Fractions, built from the integer storage."""
-        den = self._den
-        return {I: Fraction(c, den) for I, c in self._num.items()}
+        new, den = tuple.__new__, self._den
+        return {new(MultiIndex, I): Fraction(c, den) for I, c in self._num.items()}
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
@@ -249,12 +256,11 @@ class Poly:
             c = other.numerator
             return Poly._make(self.n, {I: a * c for I, a in self._num.items()}, self._den * other.denominator)
         other = self._coerce(other)
-        new = tuple.__new__
-        acc: dict[MultiIndex, int] = {}
+        acc: dict[tuple, int] = {}
         get = acc.get
         for I, c in self._num.items():
             for J, d in other._num.items():
-                K = new(MultiIndex, map(add, I, J))
+                K = (*map(add, I, J),)
                 acc[K] = get(K, 0) + c * d
         return Poly._make(self.n, {K: v for K, v in acc.items() if v}, self._den * other._den)
 
@@ -271,7 +277,7 @@ class Poly:
             return Poly.const(self.n, 1)
         if len(self._num) == 1:
             ((I, c),) = self._num.items()
-            return Poly._make(self.n, {MultiIndex._make([k * e for e in I]): c**k}, self._den**k)
+            return Poly._make(self.n, {tuple([k * e for e in I]): c**k}, self._den**k)
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -295,10 +301,9 @@ class Poly:
         J = J if isinstance(J, MultiIndex) else MultiIndex(J)
         if len(J) != self.n:
             raise ValueError(f"derivative multi-index {tuple(J)} has length {len(J)}, expected {self.n}")
-        new = tuple.__new__
-        acc: dict[MultiIndex, int] = {}
+        acc: dict[tuple, int] = {}
         for I, c in self._num.items():
-            rest = new(MultiIndex, map(sub, I, J))
+            rest = (*map(sub, I, J),)
             if min(rest) < 0:  # J does not divide I
                 continue
             acc[rest] = c * math.prod(map(math.perm, I, J))
@@ -328,16 +333,16 @@ class Poly:
         if not self._num:
             raise ValueError("the zero polynomial has no leading term")
         I = max(self._num, key=grlex_key)
-        return I, Fraction(self._num[I], self._den)
+        return MultiIndex._make(I), Fraction(self._num[I], self._den)
 
     def __str__(self) -> str:
-        return render_numerators(self._num.items(), self._den, "t")
+        return render_numerators(self._num.items(), self._den, "t", {})
 
     def __repr__(self) -> str:
         return f"Poly({self.n}: {self})"
 
 
-def _integer_form(terms: Mapping[MultiIndex, Scalar]) -> tuple[dict[MultiIndex, int], int]:
+def _integer_form(terms: Mapping[tuple, Scalar]) -> tuple[dict[tuple, int], int]:
     """(numerators, denominator) of an int or Fraction term dict, zeros dropped, canonical.
 
     Over the lcm of the reduced denominators, the numerators share no
@@ -347,19 +352,23 @@ def _integer_form(terms: Mapping[MultiIndex, Scalar]) -> tuple[dict[MultiIndex, 
     return {I: c.numerator * (den // c.denominator) for I, c in terms.items() if c}, den
 
 
-def render_numerators(pairs: Iterable[tuple[Sequence[int], int]], den: int, prefix: str) -> str:
+def render_numerators(pairs: Iterable[tuple[Sequence[int], int]], den: int, prefix: str, monos: dict) -> str:
     """Canonical text of the terms c/den * prefix^I: descending graded-lex, explicit signs.
 
     pairs holds (I, c) with c a nonzero int; each coefficient is reduced
     by its own gcd with den.  Examples: '3*t1^2*t2 - 1/2*t2 + 4', '-t1';
-    no pairs give '0'.
+    no pairs give '0'.  monos maps each I already formatted to its text
+    and gains the others: a caller that prints many coefficients passes
+    one dict to them all, so that each monomial is formatted once.
     """
     out = ""
     gcd = math.gcd
     for I, c in sorted(pairs, key=lambda pair: _print_key(pair[0])):
         g = gcd(c, den)
         p, q = abs(c) // g, den // g
-        mono = format_power_product(I, prefix)
+        mono = monos.get(I)
+        if mono is None:
+            mono = monos[I] = format_power_product(I, prefix)
         mag = str(p) if q == 1 else f"{p}/{q}"
         if not mono:
             body = mag
@@ -420,9 +429,8 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
     lead_g = max(g._num, key=grlex_key)
     a = g._num[lead_g]
     tail = [(J, d) for J, d in g._num.items() if J != lead_g]
-    new = tuple.__new__
     work = dict(p._num)
-    rem: dict[MultiIndex, int] = {}
+    rem: dict[tuple, int] = {}
     heap = [(_print_key(I), I) for I in work]
     heapq.heapify(heap)
     scale = 1
@@ -431,7 +439,7 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
         c = work.pop(I, 0)
         if not c:  # cancelled, or a second heap entry of a term already taken
             continue
-        shift = tuple(map(sub, I, lead_g))
+        shift = (*map(sub, I, lead_g),)
         if min(shift) < 0:
             rem[I] = c
             continue
@@ -443,7 +451,7 @@ def reduce_by(p: Poly, g: Poly) -> Poly:
             rem = {K: v * m for K, v in rem.items()}
         q = c // a
         for J, d in tail:
-            K = new(MultiIndex, map(add, J, shift))
+            K = (*map(add, J, shift),)
             v = work.get(K, 0) - q * d
             if v:
                 if K not in work:

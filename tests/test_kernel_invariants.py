@@ -1,8 +1,11 @@
 """Arithmetic results skip the public constructors, so check here what those would enforce.
 
-Every key is a MultiIndex of the right length with no negative entry,
-no coefficient is zero, and rebuilding a result through its public
-constructor gives an equal object.  A Poly stores integer numerators
+Every stored key (Poly._num) is a plain tuple of n nonnegative ints,
+whoever built it: the arithmetic, the parser, the jets and the public
+constructors alike.  Every key a view returns (Poly.terms, DiffOp.terms,
+Poly.leading) is a MultiIndex of the right length with no negative
+entry.  No coefficient is zero, and rebuilding a result through its
+public constructor gives an equal object.  A Poly stores integer numerators
 over one positive denominator in lowest terms (den 1 for zero), and
 shows them as Fractions.  The public entry points take int or Fraction
 coefficients only, and Poly.evaluate int or Fraction coordinates.
@@ -18,9 +21,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from weylcalc.jets import JetMap, from_jet_map, restriction
 from weylcalc.operators import DiffOp, commutator
+from weylcalc.parser import parse_jet_map, parse_operator, parse_poly, parse_symbol
 from weylcalc.poly import MultiIndex, Poly, format_power_product, monomials_up_to, reduce_by
-from weylcalc.symbols import SymbolElem
+from weylcalc.symbols import SymbolElem, principal_symbol, symbol_mul
 
 
 def coeffs():
@@ -47,14 +52,18 @@ def diffops(draw, n=2, max_word=2, max_terms=3):
     return DiffOp(n, terms)
 
 
-def assert_canonical_key(key, n):
-    assert type(key) is MultiIndex
+def assert_canonical_key(key, n, cls=MultiIndex):
+    assert type(key) is cls
     assert len(key) == n
     assert all(type(e) is int and e >= 0 for e in key)
 
 
 def assert_canonical_poly(p, n):
     assert type(p) is Poly and p.n == n
+    for key in p._num:
+        assert_canonical_key(key, n, tuple)
+    if p:
+        assert_canonical_key(p.leading()[0], n)
     assert type(p._den) is int and p._den > 0
     assert all(type(c) is int and c != 0 for c in p._num.values())
     assert math.gcd(p._den, *p._num.values()) == 1
@@ -68,6 +77,7 @@ def assert_canonical_poly(p, n):
 
 def assert_canonical_diffop(D, n):
     assert type(D) is DiffOp and D.n == n
+    assert_canonical_poly(D.poly, 2 * n)
     for J, f in D.terms.items():
         assert_canonical_key(J, n)
         assert_canonical_poly(f, n)
@@ -87,6 +97,46 @@ def test_poly_results_are_canonical(p, q, c, J):
 def test_diffop_results_are_canonical(A, B, c):
     for D in (A + B, A - B, -A, A - A, A.compose(B), A.scale(c), commutator(A, B), A**2):
         assert_canonical_diffop(D, 2)
+
+
+def test_parsed_results_are_canonical():
+    for p in (parse_poly("(t1 - 1/2*t2)^3 + 2*t1*t2", 2), parse_poly("t1^4 - t1^4", 2), parse_poly("7", 2)):
+        assert_canonical_poly(p, 2)
+    for D in (parse_operator("d1*t1^2 - (1/3*t2 + t1)*d2^2", 2), parse_operator("(t1 + d1)^3", 2)):
+        assert_canonical_diffop(D, 2)
+    s = parse_symbol("t1*x1^2 - 2/3*x1*x2", 2)
+    assert_canonical_poly(s.poly, 4)
+    assert_canonical_poly(parse_jet_map("1,0 -> t2\n0,1 -> 1/2*t1^2", 2).values[(1, 0)], 2)
+
+
+@given(diffops(max_word=3), diffops())
+def test_jet_results_are_canonical(D, E):
+    for A in (restriction(D, 3), JetMap(2, 2, {(1, 0): Poly.variable(2, 2)})):
+        assert all(type(I) is MultiIndex for I in A.values)
+        for value in A.values.values():
+            assert_canonical_poly(value, 2)
+        assert_canonical_diffop(from_jet_map(A), 2)
+    s = principal_symbol(E)
+    assert_canonical_poly(s.poly, 4)
+    assert_canonical_poly(symbol_mul(s, s).poly, 4)
+
+
+def test_public_constructors_store_plain_tuples():
+    index = MultiIndex((2, 1))
+    polys = [
+        Poly(2, {index: 3, (0, 1): Fraction(1, 2)}), Poly(2, [((1, 1), 2), ((1, 1), -1)]), Poly.const(2, 5),
+        Poly.variable(2, 2), Poly.monomial(2, index, -4), Poly.zero(2),
+    ]
+    for p in polys:
+        assert_canonical_poly(p, 2)
+    operators = [
+        DiffOp(2, {index: polys[0], (0, 0): 2}), DiffOp.identity(2), DiffOp.partial(2, 1),
+        DiffOp.from_poly(polys[0]), DiffOp.from_vector_field(polys[:2]), DiffOp.zero(2),
+    ]
+    for D in operators:
+        assert_canonical_diffop(D, 2)
+    assert_canonical_poly(SymbolElem(2, 3, {index: polys[1]}).poly, 4)
+    assert polys[0].leading() == ((2, 1), 3) and type(polys[0].leading()[0]) is MultiIndex
 
 
 def test_subtraction_still_rejects_negative_entries():

@@ -414,6 +414,9 @@ def test_parse_jet_map_round_trips_render():
     [
         ("1,0 = t2", "expected 'i1,...,in -> polynomial'"),
         ("a,0 -> t2", "bad monomial index"),
+        ("1_0,0 -> t1", "bad monomial index"),
+        ("+1,0 -> t1", "bad monomial index"),
+        ("-1,0 -> t1", "negative exponent"),
         ("1,0 -> t2\n1 -> t1", "earlier lines have 2"),
         ("1,0 -> t2\n1,0 -> t1", "duplicate entry"),
         ("2,0 -> t2", "exceeds the table degree 1"),
@@ -581,6 +584,146 @@ def test_operators_match_composition_of_every_node(src):
 @given(expressions(["t1", "t2"]))
 def test_polynomials_match_multiplication_of_every_node(src):
     assert parse_poly(src, n=2) == poly_all(parse_ast(src, {"t"}), 2)
+
+
+# -- the loop descent against the recursive descent it replaced --------------
+
+
+class ReferenceParser:
+    """The parser's former recursive descent, kept as an independent reference.
+
+    One method per grammar rule; it reads a number as a Fraction, where
+    the loop descent keeps an integer literal an int.  The trees compare
+    equal all the same, since 2 == Fraction(2).
+    """
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+
+    def parse(self):
+        node = self.expr()
+        kind, _, offset, _ = self.tokens[self.pos]
+        if kind != "eof":
+            raise ParseError(offset, "unexpected trailing input")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind = self.tokens[self.pos][0]
+            if kind == "+":
+                self.pos += 1
+                node = Add(node, self.term())
+            elif kind == "-":
+                self.pos += 1
+                node = Sub(node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            node = Mul(node, self.factor())
+        return node
+
+    def factor(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        kind, text, offset, index = tok
+        if kind == "var":
+            node = Var(text, index, offset)
+        elif kind == "num":
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
+                den = self.positive("expected a positive integer denominator", "denominator must be positive")
+                node = Num(Fraction(int(text), den))
+            else:
+                node = Num(Fraction(int(text)))
+        elif kind == "-":
+            self.enter(tok)
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
+        elif kind == "(":
+            self.enter(tok)
+            node = self.expr()
+            kind, _, offset, _ = self.tokens[self.pos]
+            if kind != ")":
+                raise ParseError(offset, "expected ')'")
+            self.pos += 1
+            self.depth -= 1
+        else:
+            raise ParseError(offset, "expected a number, a variable, or '('")
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
+            offset = self.tokens[self.pos][2]
+            exponent = self.positive("expected a positive integer exponent", "exponent must be at least 1")
+            if exponent > MAX_EXPONENT:
+                raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
+            node = Pow(node, exponent)
+        return node
+
+    def positive(self, expected, too_small):
+        kind, text, offset, _ = self.tokens[self.pos]
+        if kind != "num":
+            raise ParseError(offset, expected)
+        self.pos += 1
+        value = int(text)
+        if value < 1:
+            raise ParseError(offset, too_small)
+        return value
+
+    def enter(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok[2], f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
+
+
+def reference_parse(src, prefixes):
+    return ReferenceParser(_tokenize(src, frozenset(prefixes))).parse()
+
+
+def assert_same_parse(src, prefixes):
+    """parse_ast and reference_parse give equal trees, or errors at one offset with one message."""
+    got, want = outcome(parse_ast, src, prefixes), outcome(reference_parse, src, prefixes)
+    assert got == want, src
+    return type(want) is not tuple
+
+
+def test_descent_matches_the_recursive_descent_on_random_strings():
+    rng = random.Random(20240518)
+    trees = 0
+    for _ in range(4000):
+        src = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
+        trees += assert_same_parse(src, rng.choice(PREFIX_SETS))
+    assert trees > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(["t1", "t2", "d1", "d2"]))
+def test_descent_matches_the_recursive_descent_on_expressions(src):
+    assert assert_same_parse(src, {"t", "d"})
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1])
+def test_descent_matches_the_recursive_descent_at_the_nesting_limit(levels):
+    half, odd = divmod(levels, 2)
+    for src in (
+        "(" * levels + "t1" + ")" * levels,
+        "-" * levels + "t1^2",
+        "-(" * half + "(" * odd + "d1" + ")" * (half + odd),
+    ):
+        assert_same_parse(src, {"t", "d"})
+        assert_same_parse(src[:-1], {"t", "d"})
+
+
+def test_integer_literals_stay_ints():
+    tree = parse_ast("2*3/4 - 6/3", {"t"})
+    assert tree == Sub(Mul(Num(2), Num(Fraction(3, 4))), Num(2))
+    assert type(tree.left.left.value) is int and type(tree.left.right.value) is type(tree.right.value) is Fraction
 
 
 def test_long_polynomial_round_trips():
