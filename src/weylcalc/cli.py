@@ -14,8 +14,8 @@ from collections.abc import Callable
 
 from .grothendieck import grothendieck_order, split_order_one
 from .parser import (
-    MAX_INDEX,
     ParseError,
+    check_variable_count,
     check_xi_prefix,
     parse_action,
     parse_commutator,
@@ -130,11 +130,10 @@ def _variable_count(text: str) -> int:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need at least one variable, got {n}")
-    if n > MAX_INDEX:
-        raise argparse.ArgumentTypeError(f"at most {MAX_INDEX} variables, got {n}")
-    return n
+    try:
+        return check_variable_count(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _xi_prefix(text: str) -> str:

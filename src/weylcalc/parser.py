@@ -23,17 +23,23 @@ is sized by one rule before any of it is computed, and refused if its
 terms times coefficient bits could be over MAX_POWER_BITS.  A jet
 table's basis holds at most MAX_JET_BASIS monomials.
 
-Text becomes a tree in two stages: one regular-expression scan into
-tokens, then one loop that descends the grammar, with an explicit stack
-of the open parentheses, so that no input makes it recurse.  Sum and
-product chains come out left-deep.  The tree nodes (Num, Var, Neg, Pow,
-Add, Sub, Mul) are plain slotted classes that compare, print and refuse
-hashing as dataclasses would; they are not dataclasses, so that
-importing the parser stays cheap.  A Num holds an int for an integer
-literal and a Fraction only for n/d; the two compare equal where their
-values do.
+Text becomes a value with no tree in between: one regular-expression
+scan into tokens (_TOKEN.findall), one loop over them that matches the
+parentheses (_groups), then one loop that reads the grammar and
+evaluates as it reads, with an explicit stack of the open parentheses,
+so that no input makes it recurse.  A tree is what parse_ast makes of
+the same scan, by a loop descent of its own; sum and product chains come
+out left-deep.  It serves the callers that want a tree, and it words the
+errors of syntax: the evaluation loop only notices that a text is not
+well formed, and on any error every text of the call is read again by
+parse_ast, whose error, the first text's first, comes before any
+semantic one.  The tree nodes (Num, Var, Neg, Pow, Add, Sub, Mul) are
+plain slotted classes that compare, print and refuse hashing as
+dataclasses would; they are not dataclasses, so that importing the
+parser stays cheap.  A Num holds an int for an integer literal and a
+Fraction only for n/d; the two compare equal where their values do.
 
-One evaluator turns a tree into a polynomial, an operator or a symbol.
+One evaluator turns text into a polynomial, an operator or a symbol.
 Its values are the kernel's own Poly, sums of normal-ordered terms
 c * t^a * y^b: in 2n variables for an operator (y = d) or a symbol (y =
 the xi prefix), in n for a polynomial, which has no y.  A product chain
@@ -42,11 +48,14 @@ t_i^k or y_i^k adds k to its exponent, except that an operator's t_i
 after a d_i starts the next factor.  A chain of atoms alone stays that
 one term, (exponents, coefficient), and the sum adds it into its
 integer dict over the lcm of all denominators, with no one-term Poly.
-Sums and product chains are walked with an explicit stack, so a sum of
-any length needs no recursion.
+Parentheses count as the tree nests them: a group that is a whole term
+adds its terms to the enclosing sum, a group of one chain goes on with
+the chain around it, and only a sum that is a factor, or a group other
+than a lone atom raised to a power, is a value of its own.
 
-The evaluator works in two passes.  The first computes every part that
-multiplies nothing but atoms, as above, and turns each other product,
+The evaluator works in two passes.  The first, that loop, computes
+every part that multiplies nothing but atoms, as above, and turns each
+other product,
 power and sum into a plan that carries its shape: an upper bound on its
 terms, on its coefficients (the sum of |numerators| and a denominator,
 as exact integers), on its exponents and degrees, and a progression
@@ -79,10 +88,10 @@ from collections import Counter, namedtuple
 from functools import reduce
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter, le, mul, sub
+from operator import add, itemgetter, le, mul
 
 from .jets import JetMap
-from .operators import DiffOp, _reach, commutator
+from .operators import DiffOp, commutator
 from .poly import MultiIndex, Poly
 from .symbols import SymbolElem
 
@@ -354,6 +363,57 @@ def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> 
     return best
 
 
+# What a closed group holds, as far as its evaluation goes: a lone atom such as
+# (t1) or ((3/4)), one product chain, or a sum with a '+' or a binary '-' of
+# its own.  What a primary is, to the loop: a variable, a number, a group's
+# value, or a group already added to the chain.
+_ATOM, _CHAIN, _SUM = range(3)
+_VAR, _NUM, _GROUP, _DONE = range(4)
+# The token _TOKEN.findall gives at the end of the text.
+_EOF = ("",) * 6
+
+
+def _groups(tokens: list[tuple[str, ...]]) -> dict[int, tuple[int, int]]:
+    """(index of its ')', what it holds) for each closed '(', by its token index.
+
+    The evaluation needs to know at '(' what the tree would make of the
+    group, and that depends on what the group holds and what follows it.
+    A '-' is binary where it follows an operand or a ')'.
+    """
+    groups: dict[int, tuple[int, int]] = {}
+    stack: list[list[int]] = []
+    operand = False
+    for i, token in enumerate(tokens):
+        op = token[0]
+        if not op:
+            operand = True
+        elif op == "(":
+            stack.append([i, _CHAIN])
+            operand = False
+        elif op == ")":
+            if stack:
+                j, content = stack.pop()
+                first = tokens[j + 1]
+                if content == _CHAIN and (
+                    i == j + 2 and (first[1] or first[2])
+                    or i == j + 4 and first[1] and tokens[j + 2][0] == "/"
+                    or first[0] == "(" and groups.get(j + 1) == (i - 1, _ATOM)
+                ):
+                    content = _ATOM
+                groups[j] = (i, content)
+            operand = True
+        else:
+            if stack and (op == "+" or op == "-" and operand):
+                stack[-1][1] = _SUM
+            operand = False
+    return groups
+
+
+def _malformed() -> ParseError:
+    """What the evaluation loop raises on text that is not well formed; parse_ast words the error."""
+    return ParseError(None, "the text is not well formed")
+
+
 # An upper bound on a value that is not computed yet: at most terms terms,
 # whose numerators over den (a multiple of the true denominator) add up to at
 # most num in absolute value.  reach bounds each exponent; tdeg, ddeg and deg
@@ -368,45 +428,170 @@ _Plan = namedtuple("_Plan", "op args shape")
 
 
 class _Evaluator:
-    """Evaluates a tree in t1..tn and y1..yn, y named by the prefix second.
+    """Evaluates text in t1..tn and y1..yn, y named by the prefix second.
 
     Every value is a Poly in the kernel's integer form: in n variables
     for polynomials (second is None), else in 2n with y_i in slot n+i.
     reorder says that y_i = d_i does not commute with t_i, so that the
-    values are operators.  sum turns a tree into a plan: product-free
-    parts are computed at once, and every product and power is sized by
-    its shape, and refused if that is over MAX_POWER_BITS, before
-    anything is multiplied.  value then maps the plan to kernel calls,
-    with no further checks.
+    values are operators.  plan is the first pass: one loop over a
+    text's tokens that computes every product-free part at once and
+    sizes every product and power by its shape, refused if that is over
+    MAX_POWER_BITS, before anything is multiplied.  value is the second
+    pass: it maps the plan to kernel calls, with no further checks.
     """
 
     def __init__(self, n: int, second: str | None, reorder: bool):
-        self.n, self.second, self.reorder = n, second, reorder
+        self.n, self.reorder = n, reorder
         self.width = n if second is None else 2 * n
+        self.prefixes = frozenset({"t"} if second is None else {"t", second})
+        # prefix -> index digits -> slot, for the indices written without leading zeros
+        self.slots = {"t": {str(i): i - 1 for i in range(1, n + 1)}}
+        if second is not None:
+            self.slots[second] = {str(i): n + i - 1 for i in range(1, n + 1)}
 
-    def run(self, node: Node) -> Poly:
-        return self.value(self.sum(node))
+    def plan(self, src: str, tokens: list[tuple[str, ...]]) -> Poly | _Plan:
+        """The first pass over src's tokens (_TOKEN.findall): its value, or the plan that computes it.
 
-    def sum(self, node: Node) -> Poly | _Plan:
-        polys, terms, plans = [], [], []  # Polys, (exponents, coefficient) terms, and plans
-        stack = [(node, 1)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node, sign = pop()
-            cls = type(node)
-            if cls is Add:
-                push((node.right, sign))
-                push((node.left, sign))
-            elif cls is Sub:
-                push((node.right, -sign))
-                push((node.left, sign))
-            elif cls is Neg:
-                push((node.inner, -sign))
+        The state is that of the innermost open group: its sum's parts
+        (polys, terms, plans), the sign that starts a chain after '+',
+        the chain being read (factors, the pending term exps and c,
+        whether it has a factor yet), and whether the group goes on
+        with the chain around it, and so has no sum.  What '(' does
+        depends on what the group holds and what follows it (see
+        _groups), so that the parts come out as the tree gives them:
+        - a lone atom, such as (t1) or ((3/4)), is that atom;
+        - a group raised to a power, or a sum that is a factor, is a
+          sum of its own, read with sign +1, whose value is a factor;
+        - a group of one chain that is a factor goes on with the chain;
+        - a whole term, signs aside, adds its chains to the enclosing
+          sum, each starting with the sign in front of the group.
+        The loop raises a ParseError on any text that is not well formed,
+        but only its semantic errors (an index above n, a size over the
+        budget) are worded for the user; _first_pass leaves the others
+        to parse_ast.
+        """
+        n, width, reorder, slots, groups = self.n, self.width, self.reorder, self.slots, _groups(tokens)
+        polys, terms, plans = [], [], []  # the sum's Polys, (exponents, coefficient) terms, and plans
+        sign = c = 1
+        exps, factors, fresh, chain = [0] * width, [], True, False
+        stack: list[tuple] = []
+        # depth and negs count the nesting as _parse does; lone, the parentheses around the next atom alone
+        depth = negs = lone = pos = 0
+        while True:
+            op, num, word, digits, _, _ = tokens[pos]
+            pos += 1
+            if word:
+                kind = _VAR
+                try:
+                    x = slots[word][digits]
+                except KeyError:
+                    x = self.slot(src, tokens, pos - 1)
+            elif num:
+                kind, x = _NUM, int(num)
+                if tokens[pos][0] == "/":
+                    den = int(tokens[pos + 1][1] or 0)
+                    if den < 1:
+                        raise _malformed()
+                    x, pos = Fraction(x, den), pos + 2
+            elif op == "-" or op == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise _malformed()
+                if op == "-":
+                    negs, c = negs + 1, -c
+                    continue
+                close, content = groups.get(pos - 1, (0, None))
+                if content == _ATOM:
+                    lone += 1
+                    continue
+                if content is None:
+                    raise _malformed()
+                after = tokens[close + 1][0]
+                factor = chain or not fresh or after == "*"
+                if after == "^" or factor and content == _SUM:  # a sum of its own
+                    stack.append((polys, terms, plans, sign, c, exps, factors, fresh, chain, negs))
+                    polys, terms, plans = [], [], []
+                    sign = c = 1
+                    exps, factors, fresh, chain = [0] * width, [], True, False
+                else:  # a chain the enclosing one goes on with, or a whole term of the enclosing sum
+                    stack.append((sign, chain, negs))
+                    chain, sign = factor, sign if factor else c
+                negs = 0
+                continue
             else:
-                part = self.product(node, sign)
-                (terms if type(part) is tuple else plans if type(part) is _Plan else polys).append(part)
-        value = self.add(polys, terms)
-        return _Plan("sum", [value, *plans] if value else plans, None) if plans else value
+                raise _malformed()
+            pos, depth, lone = pos + lone, depth - lone, 0
+            while True:  # after a primary: its power and what follows the factor
+                op = tokens[pos][0]
+                pos += 1
+                k = 1
+                if op == "^":
+                    k = int(tokens[pos][1] or 0)
+                    if not 0 < k <= MAX_EXPONENT:
+                        raise _malformed()
+                    op = tokens[pos + 1][0]
+                    pos += 2
+                    if kind == _GROUP:
+                        x = _Plan("pow", (x, k), self.raised(self.shape(x), k))
+                if kind == _VAR:
+                    if reorder and x < n and exps[n + x]:  # t_i after d_i: the pending term is a factor
+                        factors.append(_term(exps, c))
+                        c, exps = 1, [0] * width
+                    exps[x] += k
+                elif kind == _NUM:
+                    if k != 1:
+                        self.raised(self.shape(_term([0] * width, x)), k)
+                        x **= k
+                    c = x if c == 1 else -x if c == -1 else c * x
+                elif kind == _GROUP:
+                    if c != 1 or any(exps):
+                        factors.append(_term(exps, c))
+                        c, exps = 1, [0] * width
+                    factors.append(x)
+                depth, negs, fresh = depth - negs, 0, False
+                if op == "*":
+                    break
+                if op == ")":
+                    if not stack:
+                        raise _malformed()
+                    if len(stack[-1]) == 3:  # the group's chain goes on outside it
+                        sign, chain, negs = stack.pop()
+                        depth -= 1
+                        kind = _DONE
+                        continue
+                elif op != "+" and op != "-" and (stack or tokens[pos - 1] != _EOF):
+                    raise _malformed()
+                if factors:  # the chain ends
+                    if c != 1 or any(exps):
+                        factors.append(_term(exps, c))
+                    part = factors[0] if len(factors) == 1 else _Plan(
+                        "mul", factors, reduce(lambda out, s: self.times(out, s, "the product"), map(self.shape, factors))
+                    )
+                    (plans if type(part) is _Plan else polys).append(part)
+                else:
+                    terms.append((exps, c))
+                exps, factors, fresh = [0] * width, [], True
+                if op == "+" or op == "-":
+                    c = sign if op == "+" else -sign
+                    break
+                value = self.add(polys, terms)
+                if plans:
+                    value = _Plan("sum", [value, *plans] if value else plans, None)
+                if op != ")":
+                    return value
+                polys, terms, plans, sign, c, exps, factors, fresh, chain, negs = stack.pop()
+                depth -= 1
+                kind, x = _GROUP, value
+
+    def slot(self, src: str, tokens: list[tuple[str, ...]], pos: int) -> int:
+        """The slot of the variable at tokens[pos] where the slot table has none, as for t01; else an error."""
+        _, _, word, digits, _, _ = tokens[pos]
+        if not (word in self.prefixes and 0 < len(digits) <= MAX_DIGITS and 0 < (index := int(digits)) <= MAX_INDEX):
+            raise _malformed()
+        if index > self.n:
+            offset = _tokenize(src, self.prefixes)[pos][2]
+            raise ParseError(offset, f"variable index {index} exceeds the {self.n} available variables")
+        return index - 1 if word == "t" else self.n + index - 1
 
     def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
         """The sum of the Polys and the terms (exponents, coefficient)."""
@@ -424,78 +609,6 @@ class _Evaluator:
             key = tuple(exps)
             acc[key] = get(key, 0) + c.numerator * (den // c.denominator)
         return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
-
-    def product(self, node: Node, c: int | Fraction) -> Poly | _Plan | tuple[list[int], int | Fraction]:
-        """c times the product chain at node, folded left to right.
-
-        The factors seen so far are those in factors times the pending
-        term c * t^a * y^b, with its exponents in exps; atoms that need
-        no reordering go into the pending term.  A chain of atoms alone
-        is that one term, returned as (exps, c) for the sum to add in;
-        any other chain is sized as a whole before it becomes a plan.
-        """
-        n, width, reorder = self.n, self.width, self.reorder
-        exps = [0] * width
-        factors: list[Poly | _Plan] = []
-        stack = [node]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node = pop()
-            cls = type(node)
-            if cls is Mul:
-                push(node.right)
-                push(node.left)
-                continue
-            if cls is Neg:
-                c = -c
-                push(node.inner)
-                continue
-            k = 1
-            if cls is Pow and type(node.base) in (Num, Var):
-                node, k = node.base, node.exponent
-                cls = type(node)
-            if cls is Num:
-                value = node.value
-                if value.denominator == 1:
-                    value = value.numerator
-                if k != 1:
-                    self.raised(self.shape(_term([0] * width, value)), k)
-                    value **= k
-                c = value if c == 1 else -value if c == -1 else c * value
-                continue
-            if cls is Var:
-                s = self.slot(node)
-                if reorder and s < n and exps[n + s]:  # t_i after d_i: the pending term is a factor
-                    factors.append(_term(exps, c))
-                    c, exps = 1, [0] * width
-                exps[s] += k
-                continue
-            if cls is Pow:
-                base, k = self.sum(node.base), node.exponent
-                factor = _Plan("pow", (base, k), self.raised(self.shape(base), k))
-            else:
-                factor = self.sum(node)
-            if c != 1 or any(exps):
-                factors.append(_term(exps, c))
-                c, exps = 1, [0] * width
-            factors.append(factor)
-        if not factors:
-            return exps, c
-        if c != 1 or any(exps):
-            factors.append(_term(exps, c))
-        if len(factors) == 1:
-            return factors[0]
-        return _Plan("mul", factors, reduce(lambda out, s: self.times(out, s, "the product"), map(self.shape, factors)))
-
-    def slot(self, var: Var) -> int:
-        if var.index > self.n:
-            raise ParseError(var.offset, f"variable index {var.index} exceeds the {self.n} available variables")
-        if var.prefix == "t":
-            return var.index - 1
-        if var.prefix == self.second:
-            return self.n + var.index - 1
-        expected = "t" if self.second is None else ", ".join(sorted({"t", self.second}))
-        raise ParseError(var.offset, f"unknown variable {var.prefix!r}; expected one of: {expected}")
 
     def value(self, x: Poly | _Plan) -> Poly:
         """x computed by the kernel; a plan has passed its size checks, so none are made here.
@@ -520,16 +633,25 @@ class _Evaluator:
     # -- the size rule --------------------------------------------------------
 
     def shape(self, x: Poly | _Plan) -> _Shape:
-        """x's shape: a plan's own, a sum's from its parts, or one read off a value's terms."""
+        """x's shape: a plan's own, a sum's from its parts, or one read off a value's terms in one loop."""
         if type(x) is _Plan:
             return x.shape or self.union([self.shape(part) for part in x.args])
-        n, keys = self.n, x._num
-        ts, ds = list(map(sum, map(itemgetter(slice(n)), keys))), list(map(sum, map(itemgetter(slice(n, None)), keys)))
-        gaps = set(map(sub, ts, ds)) or {0}
-        lo = min(gaps)
-        return _Shape(
-            len(keys), sum(map(abs, keys.values())), x._den, _reach(keys) or [0] * self.width, max(ts, default=0),
-            max(ds, default=0), max(map(add, ts, ds), default=0), (lo, max(gaps), gcd(*(g - lo for g in gaps))), keys,
+        n, keys, zero = self.n, x._num, (0,) * self.width
+        tdeg = ddeg = deg = 0
+        gaps = set()
+        for key in keys:
+            t, total = sum(key[:n]), sum(key)
+            if t > tdeg:
+                tdeg = t
+            if total - t > ddeg:
+                ddeg = total - t
+            if total > deg:
+                deg = total
+            gaps.add(2 * t - total)
+        lo = min(gaps, default=0)
+        return _Shape(  # two zeros give max two arguments where there are no keys
+            len(keys), sum(map(abs, keys.values())), x._den, list(map(max, zero, zero, *keys)), tdeg, ddeg, deg,
+            (lo, max(gaps, default=0), gcd(*(g - lo for g in gaps))), keys,
         )
 
     def union(self, shapes: list[_Shape]) -> _Shape:
@@ -640,28 +762,49 @@ def _too_large(what: str) -> ParseError:
     return ParseError(None, f"{what} is too large to expand: {bound}")
 
 
-def to_poly(node: Node, n: int) -> Poly:
-    return _Evaluator(n, None, False).run(node)
+def check_variable_count(n: int) -> int:
+    """n if it is a number of variables an input may have, 1 to MAX_INDEX; else a ValueError."""
+    if n < 1:
+        raise ValueError(f"need at least one variable, got {n}")
+    if n > MAX_INDEX:
+        raise ValueError(f"at most {MAX_INDEX} variables, got {n}")
+    return n
 
 
-def to_diffop(node: Node, n: int) -> DiffOp:
-    return DiffOp._make(n, _Evaluator(n, "d", True).run(node))
+def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tuple[_Evaluator, Poly | _Plan]]:
+    """Each text (source, second, reorder) in one n, given or the largest index in any: its evaluator and its plan.
 
-
-def variable_count(n: int | None, *trees: Node) -> int:
-    """n when given, else the largest variable index in the trees (at least 1)."""
-    return n if n is not None else max(1, *map(max_index, trees))
+    Errors come as parse_ast and the evaluation of its trees would find
+    them: a lexical or syntax error of any text, the first text's first,
+    before any semantic error.  The evaluation loop only notices that a
+    text is not well formed, so on any error parse_ast reads each text
+    again, and the loop's own error stands only if none of them fails.
+    """
+    tokens = [_TOKEN.findall(src) for src, _, _ in texts]
+    if n is None:
+        # the largest index where a variable is well formed: that of the tree if all are
+        indices = (int(digits) for each in tokens for _, _, word, digits, _, _ in each if word and 0 < len(digits) <= MAX_DIGITS)
+        n = max((index for index in indices if 0 < index <= MAX_INDEX), default=1)
+    else:
+        check_variable_count(n)
+    evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
+    try:
+        return [(ev, ev.plan(src, each)) for ev, (src, _, _), each in zip(evaluators, texts, tokens)]
+    except ParseError:
+        for ev, (src, _, _) in zip(evaluators, texts):
+            parse_ast(src, ev.prefixes)
+        raise
 
 
 def parse_operator(src: str, n: int | None = None) -> DiffOp:
     """Operator expression in t and d variables; n inferred as the max index."""
-    tree = parse_ast(src, {"t", "d"})
-    return to_diffop(tree, variable_count(n, tree))
+    [(evaluator, x)] = _first_pass(n, (src, "d", True))
+    return DiffOp._make(evaluator.n, evaluator.value(x))
 
 
 def parse_poly(src: str, n: int | None = None) -> Poly:
-    tree = parse_ast(src, {"t"})
-    return to_poly(tree, variable_count(n, tree))
+    [(evaluator, x)] = _first_pass(n, (src, None, False))
+    return evaluator.value(x)
 
 
 def parse_commutator(left: str, right: str, n: int | None = None) -> DiffOp:
@@ -670,9 +813,7 @@ def parse_commutator(left: str, right: str, n: int | None = None) -> DiffOp:
     Both products, A * B and B * A, are sized by the rule for a product
     in an expression, on the expressions, before either is computed.
     """
-    trees = parse_ast(left, {"t", "d"}), parse_ast(right, {"t", "d"})
-    evaluator = _Evaluator(variable_count(n, *trees), "d", True)
-    a, b = map(evaluator.sum, trees)
+    (evaluator, a), (_, b) = _first_pass(n, (left, "d", True), (right, "d", True))
     A, B = evaluator.shape(a), evaluator.shape(b)
     evaluator.times(A, B, "the product")
     evaluator.times(B, A, "the product")
@@ -685,12 +826,9 @@ def parse_action(expr: str, poly: str, n: int | None = None) -> Poly:
     The action is sized as the y-degree-0 slice of the product D * p,
     on the expressions, before either is computed.
     """
-    trees = parse_ast(expr, {"t", "d"}), parse_ast(poly, {"t"})
-    n = variable_count(n, *trees)
-    operator, polynomial = _Evaluator(n, "d", True), _Evaluator(n, None, False)
-    d, p = operator.sum(trees[0]), polynomial.sum(trees[1])
+    (operator, d), (polynomial, p) = _first_pass(n, (expr, "d", True), (poly, None, False))
     operator.times(operator.shape(d), polynomial.shape(p), "the action", action=True)
-    return DiffOp._make(n, operator.value(d)).apply(polynomial.value(p))
+    return DiffOp._make(operator.n, operator.value(d)).apply(polynomial.value(p))
 
 
 def check_xi_prefix(prefix: str) -> str:
@@ -703,9 +841,8 @@ def check_xi_prefix(prefix: str) -> str:
 def parse_symbol(src: str, n: int | None = None, xi_prefix: str = "x") -> SymbolElem:
     """Symbol expression in t and xi variables, homogeneous in the xi's (else an error)."""
     check_xi_prefix(xi_prefix)
-    ast = parse_ast(src, {"t", xi_prefix})
-    n = variable_count(n, ast)
-    poly = _Evaluator(n, xi_prefix, False).run(ast)
+    [(evaluator, x)] = _first_pass(n, (src, xi_prefix, False))
+    n, poly = evaluator.n, evaluator.value(x)
     grades = {sum(key[n:]) for key in poly._num} or {0}
     if len(grades) > 1:
         lo, hi = min(grades), max(grades)
@@ -724,6 +861,8 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
     monomial are an error.  The number of variables is the number of
     index entries unless n is given.
     """
+    if n is not None:
+        check_variable_count(n)
     if degree < 0:
         raise ParseError(None, f"degree must be nonnegative, got {degree}")
     entries: list[tuple[int, tuple[int, ...], str]] = []

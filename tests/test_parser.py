@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,10 @@ from weylcalc.parser import (
     Sub,
     Var,
     _Evaluator,
+    _Plan,
+    _term,
     _tokenize,
+    check_variable_count,
     max_index,
     parse_action,
     parse_ast,
@@ -34,8 +39,6 @@ from weylcalc.parser import (
     parse_operator,
     parse_poly,
     parse_symbol,
-    to_diffop,
-    to_poly,
 )
 from weylcalc.poly import Poly
 from weylcalc.symbols import SymbolElem
@@ -222,12 +225,11 @@ def test_composition_check_matches_the_parser():
         parse_commutator(wide, wide)
     with pytest.raises(ParseError, match="the product is too large to expand"):
         parse_operator(f"{wide}*{wide}")
-    # the rule is not symmetric: d1^1000 after t1^1000 needs no reordering
-    evaluator = _Evaluator(1, "d", True)
-    d, t1 = (evaluator.shape(evaluator.sum(parse_ast(src, {"t", "d"}))) for src in ("d1^1000", "t1^1000"))
-    evaluator.times(t1, d, "the product")
+    # the rule is not symmetric: d1^1000 after t1^1000 needs no reordering (each sum of one
+    # term is a factor of its own, where atoms alone would fold into one term)
+    assert parse_operator("(t1^1000 + 0)*(d1^1000 + 0)") == parse_operator("t1^1000*d1^1000")
     with pytest.raises(ParseError, match="the product is too large to expand"):
-        evaluator.times(d, t1, "the product")
+        parse_operator("(d1^1000 + 0)*(t1^1000 + 0)")
     with pytest.raises(ParseError, match="the product is too large to expand"):
         parse_commutator("t1^1000", "d1^1000")
 
@@ -272,12 +274,11 @@ def test_the_shape_bounds_the_value():
              (["t1", "t2", "t3", "x1", "x2", "x3"], "x", False)]
     for _ in range(150):
         for variables, second, reorder in kinds:
-            evaluator = _Evaluator(3, second, reorder)
-            plan = evaluator.sum(parse_ast(random_tree(rng, variables), {"t", second or "t"}))
+            [(evaluator, plan)] = parser._first_pass(3, (random_tree(rng, variables), second, reorder))
             assert_bounds(evaluator.shape(plan), evaluator.value(plan))
-        operator, polynomial = _Evaluator(3, "d", True), _Evaluator(3, None, False)
-        d = operator.sum(parse_ast(random_tree(rng, kinds[0][0]), {"t", "d"}))
-        p = polynomial.sum(parse_ast(random_tree(rng, kinds[1][0]), {"t"}))
+        (operator, d), (polynomial, p) = parser._first_pass(
+            3, (random_tree(rng, kinds[0][0]), "d", True), (random_tree(rng, kinds[1][0]), None, False)
+        )
         shape = operator.times(operator.shape(d), polynomial.shape(p), "the action", action=True)
         assert_bounds(shape, DiffOp._make(3, operator.value(d)).apply(polynomial.value(p)))
 
@@ -293,14 +294,14 @@ def test_jet_tables_are_bounded():
 
 def test_explicit_vars_bound_is_enforced():
     with pytest.raises(ParseError) as err:
-        to_diffop(parse_ast("t2", {"t", "d"}), 1)
+        parse_operator("t2", 1)
     assert err.value.offset == 1
     assert "exceeds the 1 available variables" in err.value.message
 
 
 def test_index_error_inside_a_d_free_subtree_keeps_its_offset():
     with pytest.raises(ParseError) as err:
-        to_diffop(parse_ast("d1*(t1 + 2*t3^2)", {"t", "d"}), 2)
+        parse_operator("d1*(t1 + 2*t3^2)", 2)
     assert err.value.offset == 12
     assert "exceeds the 2 available variables" in err.value.message
 
@@ -353,7 +354,7 @@ def test_polynomials_reject_derivative_names():
     with pytest.raises(ParseError):
         parse_poly("d1")
     with pytest.raises(ParseError, match="unknown variable 'd'; expected one of: t") as err:
-        to_poly(parse_ast("t1 + d1", {"t", "d"}), 1)
+        parse_poly("t1 + d1", 1)
     assert err.value.offset == 6
 
 
@@ -940,3 +941,239 @@ def test_refused_inputs_make_no_kernel_call(monkeypatch, source, message):
     with pytest.raises(ParseError, match=message):
         evaluate(*source)
     assert calls == []
+
+
+# -- the evaluation loop against the tree walk it replaced ---------------------
+
+
+def reference_sum(evaluator, node):
+    """The evaluator's former first pass over a tree, kept as an independent reference.
+
+    It walks the tree parse_ast builds, with the live evaluator's sizing
+    (shape, times, raised), its sum of parts (add) and its one-term Poly
+    (_term), so that equal plans come out where the two passes read the
+    text alike.  A sum and a product chain are walked with an explicit
+    stack; every Neg on the way to a product flips its sign.
+    """
+    polys, terms, plans = [], [], []  # Polys, (exponents, coefficient) terms, and plans
+    stack = [(node, 1)]
+    while stack:
+        node, sign = stack.pop()
+        cls = type(node)
+        if cls is Add:
+            stack += [(node.right, sign), (node.left, sign)]
+        elif cls is Sub:
+            stack += [(node.right, -sign), (node.left, sign)]
+        elif cls is Neg:
+            stack.append((node.inner, -sign))
+        else:
+            part = reference_product(evaluator, node, sign)
+            (terms if type(part) is tuple else plans if type(part) is _Plan else polys).append(part)
+    value = evaluator.add(polys, terms)
+    return _Plan("sum", [value, *plans] if value else plans, None) if plans else value
+
+
+def reference_product(evaluator, node, c):
+    """c times the product chain at node, folded left to right, as the former first pass did."""
+    n, width, reorder = evaluator.n, evaluator.width, evaluator.reorder
+    exps = [0] * width
+    factors = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Mul:
+            stack += [node.right, node.left]
+            continue
+        if cls is Neg:
+            c = -c
+            stack.append(node.inner)
+            continue
+        k = 1
+        if cls is Pow and type(node.base) in (Num, Var):
+            node, k = node.base, node.exponent
+            cls = type(node)
+        if cls is Num:
+            value = node.value
+            if value.denominator == 1:
+                value = value.numerator
+            if k != 1:
+                evaluator.raised(evaluator.shape(_term([0] * width, value)), k)
+                value **= k
+            c = value if c == 1 else -value if c == -1 else c * value
+            continue
+        if cls is Var:
+            if node.index > n:
+                raise ParseError(node.offset, f"variable index {node.index} exceeds the {n} available variables")
+            s = node.index - 1 if node.prefix == "t" else n + node.index - 1
+            if reorder and s < n and exps[n + s]:  # t_i after d_i: the pending term is a factor
+                factors.append(_term(exps, c))
+                c, exps = 1, [0] * width
+            exps[s] += k
+            continue
+        if cls is Pow:
+            base, k = reference_sum(evaluator, node.base), node.exponent
+            factor = _Plan("pow", (base, k), evaluator.raised(evaluator.shape(base), k))
+        else:
+            factor = reference_sum(evaluator, node)
+        if c != 1 or any(exps):
+            factors.append(_term(exps, c))
+            c, exps = 1, [0] * width
+        factors.append(factor)
+    if not factors:
+        return exps, c
+    if c != 1 or any(exps):
+        factors.append(_term(exps, c))
+    if len(factors) == 1:
+        return factors[0]
+    return _Plan("mul", factors, reduce(lambda out, s: evaluator.times(out, s, "the product"), map(evaluator.shape, factors)))
+
+
+def reference_first_pass(n, *texts):
+    """parser._first_pass as it was: each text (source, second, reorder) to a tree, then to a plan."""
+    trees = [parse_ast(src, {"t", second or "t"}) for src, second, _ in texts]
+    if n is None:
+        n = max(1, *map(max_index, trees))
+    check_variable_count(n)
+    evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
+    return [(evaluator, reference_sum(evaluator, tree)) for evaluator, tree in zip(evaluators, trees)]
+
+
+ENTRY = {"operator": parse_operator, "poly": parse_poly, "symbol": parse_symbol, "comm": parse_commutator,
+         "apply": parse_action, "construct": lambda degree, n=None: parse_jet_map("1,0 -> t2\n", degree, n)}
+TEXTS = {
+    "operator": lambda src: [(src, "d", True)],
+    "poly": lambda src: [(src, None, False)],
+    "symbol": lambda src: [(src, "x", False)],
+    "comm": lambda left, right: [(left, "d", True), (right, "d", True)],
+    "apply": lambda expr, poly: [(expr, "d", True), (poly, None, False)],
+}
+
+
+def reference_evaluate(kind, *sources, n=None):
+    """The entry point of kind as it was: the live entry point over the tree walk's first pass."""
+    with mock.patch.object(parser, "_first_pass", reference_first_pass):
+        return ENTRY[kind](*sources, n=n)
+
+
+def result(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "offset", None), str(exc)
+
+
+def assert_same_as_the_tree_walk(kind, *sources, n=None, values=True):
+    """The loop and the tree walk give equal plans, and equal values or one error (type, offset, message).
+
+    values=False compares the plans alone, for inputs whose values are
+    costly; the second pass that computes a plan is shared code.  A jet
+    table has no text of its own to plan, so only its value is compared.
+    Returns whether the texts were planned without an error.
+    """
+    planned = True
+    if kind in TEXTS:
+        plans = [result(lambda f: [(e.n, plan) for e, plan in f(n, *TEXTS[kind](*sources))], f)
+                 for f in (parser._first_pass, reference_first_pass)]
+        assert plans[0] == plans[1], (kind, sources)
+        planned = type(plans[1]) is list
+    if values:
+        assert result(ENTRY[kind], *sources, n=n) == result(reference_evaluate, kind, *sources, n=n), (kind, sources)
+    return planned
+
+
+def test_the_loop_matches_the_tree_walk_on_random_strings():
+    rng = random.Random(20240518)
+    accepted = 0
+    previous = ""
+    for _ in range(4000):
+        src = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
+        n = rng.choice([None, None, 2])
+        for kind in ("operator", "poly", "symbol"):
+            accepted += assert_same_as_the_tree_walk(kind, src, n=n)
+        for kind in ("comm", "apply"):
+            assert_same_as_the_tree_walk(kind, previous, src, n=n)
+            assert_same_as_the_tree_walk(kind, src, previous, n=n)
+        previous = src
+    assert accepted > 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(["t1", "t2", "d1", "d2"]), expressions(["t1", "t2"]), expressions(["t1", "t2", "x1", "x2"]))
+def test_the_loop_matches_the_tree_walk_on_expressions(operator, polynomial, symbol):
+    assert assert_same_as_the_tree_walk("operator", operator)
+    assert assert_same_as_the_tree_walk("poly", polynomial)
+    assert_same_as_the_tree_walk("symbol", symbol)
+    assert_same_as_the_tree_walk("comm", operator, polynomial)
+    assert_same_as_the_tree_walk("apply", operator, polynomial)
+
+
+def test_the_loop_matches_the_tree_walk_on_random_trees():
+    rng = random.Random(20261019)
+    variables = {"operator": ["t1", "t2", "t3", "d1", "d2", "d3"], "poly": ["t1", "t2", "t3"],
+                 "symbol": ["t1", "t2", "t3", "x1", "x2", "x3"]}
+    for _ in range(150):
+        for kind, names in variables.items():
+            assert_same_as_the_tree_walk(kind, random_tree(rng, names), n=3)
+        assert_same_as_the_tree_walk("apply", random_tree(rng, variables["operator"]), random_tree(rng, variables["poly"]))
+
+
+SIGNED_GROUPS = [
+    "-(t1*(t1+d1)^2) + t2", "t2 - (t1+d1)*d1", "--((t1+d1))^2", "-(t1+d1)^2", "-((t1+d1)^2)", "-(t1+d1)*2",
+    "2*-(t1+d1)", "t1 - (d1 - (t1 - d1*t1))", "-(-(t1 + d1) + d2*(t2 - d2))", "((t1+d1))*t1", "t1*((t1+d1))",
+    "(t1*(t1+d1))*d1", "-(d1*t1)*(t1)^2*((3/4))^2", "((t1))^2*(-t1)^2*(t1^2)^2", "(t1*1)^2 + (2)^3 - (-(2))^2",
+    "((d1*t1))^1 + (d1 + 0)^1", "d1*(t1*t2)*(-(d2*t2))", "(d1 + t1)*-(-(d1)*t1) - -(t2)",
+]
+
+
+@pytest.mark.parametrize("src", SIGNED_GROUPS)
+def test_the_loop_matches_the_tree_walk_on_signed_groups(src):
+    assert assert_same_as_the_tree_walk("operator", src)
+    assert assert_same_as_the_tree_walk("poly", src.replace("d", "t"))
+
+
+@pytest.mark.parametrize("source", [pytest.param(source, id=name) for name, source, _ in ACCEPTED]
+                         + [pytest.param(p.values[0], id=p.id) for p in REFUSED])
+def test_the_loop_matches_the_tree_walk_on_the_pinned_inputs(source):
+    kind, *sources = source
+    assert_same_as_the_tree_walk(kind, *sources, values=kind == "construct")
+
+
+def test_the_loop_matches_the_tree_walk_on_products_of_a_cycle():
+    for src in (f"{B30}*{B30}*{B30}", f"{B30}^2", f"{B30}*{B30}", f"{B8}^3"):
+        assert_same_as_the_tree_walk("operator", src, values=False)
+    with pytest.raises(ParseError, match="the product is too large"):
+        parse_operator(f"{B30}*{B30}*{B30}")
+
+
+def test_an_accepted_input_makes_no_parse_ast_call(monkeypatch):
+    calls = []
+    for name in ("parse_ast", "_tokenize", "_parse"):
+        def counted(*args, name=name, inner=getattr(parser, name)):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(parser, name, counted)
+    parse_operator("-(t1*(t1+d1)^2) + t02 - (t1+d1)*d1")
+    parse_poly("(t1 + 1/2)^3 - t2")
+    parse_symbol("x1*(t1*x2 + x1)")
+    parse_commutator("d1^2", "t1^2")
+    parse_action("d1*(t1+d1)", "t1^3", 2)
+    parse_jet_map("1,0 -> t2\n", 1)
+    assert calls == []
+    with pytest.raises(ParseError, match="exceeds the 1 available variables"):
+        parse_operator("t2", 1)
+    assert "parse_ast" in calls
+
+
+@pytest.mark.parametrize("n,message", [(0, "need at least one variable, got 0"),
+                                       (-1, "need at least one variable, got -1"),
+                                       (MAX_INDEX + 1, f"at most {MAX_INDEX} variables, got {MAX_INDEX + 1}")])
+def test_an_explicit_variable_count_is_bounded(n, message):
+    # refused before any work: DiffOp(0) has no variables, and a huge n would size every term
+    for parse, sources in [(parse_operator, ["1"]), (parse_poly, ["1"]), (parse_symbol, ["1"]),
+                           (parse_commutator, ["1", "1"]), (parse_action, ["1", "1"]), (parse_jet_map, ["", 0])]:
+        with pytest.raises(ValueError) as err:
+            parse(*sources, n=n)
+        assert str(err.value) == message and type(err.value) is ValueError
+    assert parse_operator("1", MAX_INDEX).n == MAX_INDEX
