@@ -24,20 +24,15 @@ terms times coefficient bits could be over MAX_POWER_BITS.  A jet
 table's basis holds at most MAX_JET_BASIS monomials.
 
 Text becomes a value with no tree in between: one regular-expression
-scan into tokens (_TOKEN.findall), one loop over them that matches the
-parentheses (_groups), then one loop that reads the grammar and
-evaluates as it reads, with an explicit stack of the open parentheses,
-so that no input makes it recurse.  A tree is what parse_ast makes of
-the same scan, by a loop descent of its own; sum and product chains come
-out left-deep.  It serves the callers that want a tree, and it words the
-errors of syntax: the evaluation loop only notices that a text is not
-well formed, and on any error every text of the call is read again by
-parse_ast, whose error, the first text's first, comes before any
-semantic one.  The tree nodes (Num, Var, Neg, Pow, Add, Sub, Mul) are
-plain slotted classes that compare, print and refuse hashing as
-dataclasses would; they are not dataclasses, so that importing the
-parser stays cheap.  A Num holds an int for an integer literal and a
-Fraction only for n/d; the two compare equal where their values do.
+scan into tokens (_TOKEN.findall), one loop over them that checks the
+syntax and matches the parentheses (_groups), then one loop that reads
+the grammar and evaluates as it reads, with an explicit stack of the
+open parentheses, so that no input makes it recurse.  Every text of a
+call is checked before any is evaluated, so that errors come text by
+text, the first text's first: its lexical error, then its syntax
+error, and only then any semantic one.  The scan keeps no offsets;
+only on an error is a text read again by _tokenize, which words a
+lexical error and gives the offset of a syntax error.
 
 One evaluator turns text into a polynomial, an operator or a symbol.
 Its values are the kernel's own Poly, sums of normal-ordered terms
@@ -48,7 +43,7 @@ t_i^k or y_i^k adds k to its exponent, except that an operator's t_i
 after a d_i starts the next factor.  A chain of atoms alone stays that
 one term, (exponents, coefficient), and the sum adds it into its
 integer dict over the lcm of all denominators, with no one-term Poly.
-Parentheses count as the tree nests them: a group that is a whole term
+Parentheses count as the grammar nests them: a group that is a whole term
 adds its terms to the enclosing sum, a group of one chain goes on with
 the chain around it, and only a sum that is a factor, or a group other
 than a lone atom raised to a power, is a value of its own.
@@ -86,6 +81,7 @@ from __future__ import annotations
 import re
 from collections import Counter, namedtuple
 from functools import reduce
+from itertools import islice
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add, itemgetter, le, mul
@@ -95,8 +91,8 @@ from .operators import DiffOp, commutator
 from .poly import MultiIndex, Poly
 from .symbols import SymbolElem
 
-# How deep parentheses and unary minus may nest; each level costs a few
-# Python frames in the evaluator, so this stays far below the recursion limit.
+# How deep parentheses and unary minus may nest, a limit the error messages
+# state; it bounds the explicit stacks that _groups and the evaluator keep.
 MAX_NESTING = 100
 # The longest number, in decimal digits: the interpreter's default limit on
 # int/str conversion, so every number that prints by default parses back.
@@ -127,81 +123,6 @@ class ParseError(ValueError):
             return f"error: {self.message}"
         return f"parse error at offset {self.offset}: {self.message}"
 
-
-class _Node:
-    """A tree node: slotted, equal to a node of the same class with equal
-    fields, unhashable, and shown as Class(field=value, ...)."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        names = self.__slots__
-        return tuple(getattr(self, name) for name in names) == tuple(getattr(other, name) for name in names)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Num(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | Fraction):
-        self.value = value
-
-
-class Var(_Node):
-    __slots__ = ("prefix", "index", "offset")
-
-    def __init__(self, prefix: str, index: int, offset: int):
-        self.prefix = prefix
-        self.index = index
-        self.offset = offset
-
-
-class Neg(_Node):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Node):
-        self.inner = inner
-
-
-class Pow(_Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Node, exponent: int):
-        self.base = base
-        self.exponent = exponent
-
-
-class Add(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
-
-
-class Sub(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
-
-
-class Mul(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
-
-
-Node = Num | Var | Neg | Pow | Add | Sub | Mul
 
 # A token is (kind, text, offset, index): kind is "num", "var", "eof" or the
 # operator character itself, and index is the variable index (0 otherwise).
@@ -261,108 +182,6 @@ def _bad_variable(word: str, digits: str, offset: int, prefixes: frozenset[str])
     raise ParseError(offset, f"variable index {int(digits)} exceeds {MAX_INDEX}")
 
 
-def _parse(tokens: list[Token]) -> Node:
-    """The tree of the tokens, by one loop over them.
-
-    The state is that of the innermost open parenthesis: its sum so far,
-    the pending '+' or '-' (Add or Sub), its product so far and the count
-    of minus signs before the factor being read.  '(' pushes the state
-    of the level it opens; ')' pops it, and the closed sum is a primary.
-    depth counts open parentheses and the minus signs whose factor is
-    not yet read.
-    """
-    stack: list[tuple] = []
-    total = op = prod = None
-    negs = depth = pos = 0
-    while True:
-        kind, text, offset, index = tokens[pos]
-        pos += 1
-        if kind == "var":
-            node = Var(text, index, offset)
-        elif kind == "num":
-            value = int(text)
-            if tokens[pos][0] == "/":
-                kind, text, offset, _ = tokens[pos + 1]
-                if kind != "num":
-                    raise ParseError(offset, "expected a positive integer denominator")
-                if (den := int(text)) < 1:
-                    raise ParseError(offset, "denominator must be positive")
-                value, pos = Fraction(value, den), pos + 2
-            node = Num(value)
-        elif kind == "-" or kind == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(offset, f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
-            if kind == "-":
-                negs += 1
-            else:
-                stack.append((total, op, prod, negs))
-                total = op = prod = None
-                negs = 0
-            continue
-        else:
-            raise ParseError(offset, "expected a number, a variable, or '('")
-        while True:  # node is a primary: take its power and signs, then what follows the factor
-            kind, _, offset, _ = tokens[pos]
-            pos += 1
-            if kind == "^":
-                kind, text, offset, _ = tokens[pos]
-                if kind != "num":
-                    raise ParseError(offset, "expected a positive integer exponent")
-                if (exponent := int(text)) < 1:
-                    raise ParseError(offset, "exponent must be at least 1")
-                if exponent > MAX_EXPONENT:
-                    raise ParseError(offset, f"exponent larger than {MAX_EXPONENT}")
-                node = Pow(node, exponent)
-                kind, _, offset, _ = tokens[pos + 1]
-                pos += 2
-            if negs:
-                depth -= negs
-                for _ in range(negs):
-                    node = Neg(node)
-                negs = 0
-            prod = node if prod is None else Mul(prod, node)
-            if kind == "*":
-                break
-            total, prod = prod if op is None else op(total, prod), None
-            if kind == "+" or kind == "-":
-                op = Add if kind == "+" else Sub
-                break
-            if not stack:
-                if kind != "eof":
-                    raise ParseError(offset, "unexpected trailing input")
-                return total
-            if kind != ")":
-                raise ParseError(offset, "expected ')'")
-            depth -= 1
-            node = total
-            total, op, prod, negs = stack.pop()
-
-
-def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> Node:
-    return _parse(_tokenize(src, frozenset(prefixes)))
-
-
-def max_index(node: Node, prefixes: frozenset[str] | set[str] | None = None) -> int:
-    """Largest variable index in the tree (restricted to prefixes if given); 0 if none."""
-    best = 0
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        cls = type(node)
-        if cls is Var:
-            if node.index > best and (prefixes is None or node.prefix in prefixes):
-                best = node.index
-        elif cls is Neg:
-            stack.append(node.inner)
-        elif cls is Pow:
-            stack.append(node.base)
-        elif cls is not Num:
-            stack.append(node.left)
-            stack.append(node.right)
-    return best
-
-
 # What a closed group holds, as far as its evaluation goes: a lone atom such as
 # (t1) or ((3/4)), one product chain, or a sum with a '+' or a binary '-' of
 # its own.  What a primary is, to the loop: a variable, a number, a group's
@@ -374,44 +193,109 @@ _EOF = ("",) * 6
 
 
 def _groups(tokens: list[tuple[str, ...]]) -> dict[int, tuple[int, int]]:
-    """(index of its ')', what it holds) for each closed '(', by its token index.
+    """(index of its ')', what it holds) for each closed '(', by its token index; the syntax checked.
 
-    The evaluation needs to know at '(' what the tree would make of the
-    group, and that depends on what the group holds and what follows it.
-    A '-' is binary where it follows an operand or a ')'.
+    One loop over the tokens (_TOKEN.findall) in two states: an operand
+    is expected, or a primary is read and its power and what follows
+    it are.  depth counts the open parentheses and the unary minus
+    signs whose factor is not read yet; negs, those of the innermost
+    open parenthesis.  On text that is not well formed it raises a
+    ParseError whose offset is the index of the token at fault, which
+    _checked turns into a byte offset.  The evaluation needs to know at
+    '(' what the group holds, and that the syntax is right.
     """
     groups: dict[int, tuple[int, int]] = {}
-    stack: list[list[int]] = []
-    operand = False
-    for i, token in enumerate(tokens):
-        op = token[0]
-        if not op:
-            operand = True
-        elif op == "(":
-            stack.append([i, _CHAIN])
-            operand = False
-        elif op == ")":
-            if stack:
-                j, content = stack.pop()
-                first = tokens[j + 1]
-                if content == _CHAIN and (
-                    i == j + 2 and (first[1] or first[2])
-                    or i == j + 4 and first[1] and tokens[j + 2][0] == "/"
-                    or first[0] == "(" and groups.get(j + 1) == (i - 1, _ATOM)
-                ):
-                    content = _ATOM
-                groups[j] = (i, content)
-            operand = True
-        else:
-            if stack and (op == "+" or op == "-" and operand):
-                stack[-1][1] = _SUM
-            operand = False
-    return groups
+    stack: list[list[int]] = []  # per open '(': its index, what it holds, the minus signs before it
+    depth = negs = i = 0
+    while True:
+        op, num, word, _, _, _ = tokens[i]
+        if num:
+            if tokens[i + 1][0] == "/":
+                i += 2
+                _positive(tokens, i, "expected a positive integer denominator", "denominator must be positive")
+        elif not word:
+            if op != "-" and op != "(":
+                raise ParseError(i, "expected a number, a variable, or '('")
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(i, f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
+            if op == "-":
+                negs += 1
+            else:
+                stack.append([i, _CHAIN, negs])
+                negs = 0
+            i += 1
+            continue
+        while True:  # after a primary: its power, then what follows the factor
+            i += 1
+            op = tokens[i][0]
+            if op == "^":
+                i += 1
+                if _positive(tokens, i, "expected a positive integer exponent", "exponent must be at least 1") > MAX_EXPONENT:
+                    raise ParseError(i, f"exponent larger than {MAX_EXPONENT}")
+                i += 1
+                op = tokens[i][0]
+            if negs:
+                depth -= negs
+                negs = 0
+            if op == "*":
+                i += 1
+                break
+            if op == "+" or op == "-":
+                if stack:
+                    stack[-1][1] = _SUM
+                i += 1
+                break
+            if not stack:
+                if tokens[i] != _EOF:
+                    raise ParseError(i, "unexpected trailing input")
+                return groups
+            if op != ")":
+                raise ParseError(i, "expected ')'")
+            j, content, negs = stack.pop()
+            depth -= 1
+            if i == j + 2 or i == j + 4 and tokens[j + 2][0] == "/" or groups.get(j + 1) == (i - 1, _ATOM):
+                content = _ATOM
+            groups[j] = (i, content)
 
 
-def _malformed() -> ParseError:
-    """What the evaluation loop raises on text that is not well formed; parse_ast words the error."""
-    return ParseError(None, "the text is not well formed")
+def _positive(tokens: list[tuple[str, ...]], i: int, expected: str, too_small: str) -> int:
+    """The positive integer that tokens[i] must be, an exponent or a denominator; else the error at i."""
+    if not tokens[i][1]:
+        raise ParseError(i, expected)
+    if (value := int(tokens[i][1])) < 1:
+        raise ParseError(i, too_small)
+    return value
+
+
+def _checked(src: str, prefixes: frozenset[str], found: list[tuple[str, ...]]) -> list[Token]:
+    """src's tokens, by _tokenize, and found (its findall tokens) checked by _groups.
+
+    _tokenize raises src's lexical error, if any, first; a syntax error
+    gets the byte offset of the token at fault.
+    """
+    tokens = _tokenize(src, prefixes)
+    try:
+        _groups(found)
+    except ParseError as exc:
+        raise ParseError(tokens[exc.offset][2], exc.message) from None
+    return tokens
+
+
+def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> list[Token]:
+    """src's tokens (kind, text, offset, index), or its lexical or syntax error, as the parse_* functions word it.
+
+    It builds no tree.  It and max_index remain only for the callers
+    that take a text's arity from max_index(parse_ast(...)), the CLI
+    oracles of perfbench/workloads.py and tests/test_cli_fuzz.py, until
+    ROADMAP item 5 moves the benchmark's oracle off them.
+    """
+    return _checked(src, frozenset(prefixes), _TOKEN.findall(src))
+
+
+def max_index(tokens: list[Token], prefixes: frozenset[str] | set[str] | None = None) -> int:
+    """The largest index of a "var" token (of one of the prefixes, if given); 0 if none.  See parse_ast."""
+    return max((index for kind, word, _, index in tokens if kind == "var" and (prefixes is None or word in prefixes)), default=0)
 
 
 # An upper bound on a value that is not computed yet: at most terms terms,
@@ -449,34 +333,32 @@ class _Evaluator:
         if second is not None:
             self.slots[second] = {str(i): n + i - 1 for i in range(1, n + 1)}
 
-    def plan(self, src: str, tokens: list[tuple[str, ...]]) -> Poly | _Plan:
-        """The first pass over src's tokens (_TOKEN.findall): its value, or the plan that computes it.
+    def plan(self, src: str, tokens: list[tuple[str, ...]], groups: dict[int, tuple[int, int]]) -> Poly | _Plan:
+        """The first pass over src's well-formed tokens (_TOKEN.findall): its value, or the plan that computes it.
 
         The state is that of the innermost open group: its sum's parts
         (polys, terms, plans), the sign that starts a chain after '+',
         the chain being read (factors, the pending term exps and c,
         whether it has a factor yet), and whether the group goes on
         with the chain around it, and so has no sum.  What '(' does
-        depends on what the group holds and what follows it (see
-        _groups), so that the parts come out as the tree gives them:
+        depends on what the group holds and what follows it (groups,
+        from _groups), so that the parts come out as the grammar nests
+        them:
         - a lone atom, such as (t1) or ((3/4)), is that atom;
         - a group raised to a power, or a sum that is a factor, is a
           sum of its own, read with sign +1, whose value is a factor;
         - a group of one chain that is a factor goes on with the chain;
         - a whole term, signs aside, adds its chains to the enclosing
           sum, each starting with the sign in front of the group.
-        The loop raises a ParseError on any text that is not well formed,
-        but only its semantic errors (an index above n, a size over the
-        budget) are worded for the user; _first_pass leaves the others
-        to parse_ast.
+        _groups has checked the syntax, so the only errors here are
+        semantic: an index above n, or a size over the budget.
         """
-        n, width, reorder, slots, groups = self.n, self.width, self.reorder, self.slots, _groups(tokens)
+        n, width, reorder, slots = self.n, self.width, self.reorder, self.slots
         polys, terms, plans = [], [], []  # the sum's Polys, (exponents, coefficient) terms, and plans
         sign = c = 1
         exps, factors, fresh, chain = [0] * width, [], True, False
         stack: list[tuple] = []
-        # depth and negs count the nesting as _parse does; lone, the parentheses around the next atom alone
-        depth = negs = lone = pos = 0
+        lone = pos = 0  # lone: the parentheses around the next atom alone
         while True:
             op, num, word, digits, _, _ = tokens[pos]
             pos += 1
@@ -489,46 +371,33 @@ class _Evaluator:
             elif num:
                 kind, x = _NUM, int(num)
                 if tokens[pos][0] == "/":
-                    den = int(tokens[pos + 1][1] or 0)
-                    if den < 1:
-                        raise _malformed()
-                    x, pos = Fraction(x, den), pos + 2
-            elif op == "-" or op == "(":
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise _malformed()
-                if op == "-":
-                    negs, c = negs + 1, -c
-                    continue
-                close, content = groups.get(pos - 1, (0, None))
+                    x, pos = Fraction(x, int(tokens[pos + 1][1])), pos + 2
+            elif op == "-":
+                c = -c
+                continue
+            else:  # '('
+                close, content = groups[pos - 1]
                 if content == _ATOM:
                     lone += 1
                     continue
-                if content is None:
-                    raise _malformed()
                 after = tokens[close + 1][0]
                 factor = chain or not fresh or after == "*"
                 if after == "^" or factor and content == _SUM:  # a sum of its own
-                    stack.append((polys, terms, plans, sign, c, exps, factors, fresh, chain, negs))
+                    stack.append((polys, terms, plans, sign, c, exps, factors, fresh, chain))
                     polys, terms, plans = [], [], []
                     sign = c = 1
                     exps, factors, fresh, chain = [0] * width, [], True, False
                 else:  # a chain the enclosing one goes on with, or a whole term of the enclosing sum
-                    stack.append((sign, chain, negs))
+                    stack.append((sign, chain))
                     chain, sign = factor, sign if factor else c
-                negs = 0
                 continue
-            else:
-                raise _malformed()
-            pos, depth, lone = pos + lone, depth - lone, 0
+            pos, lone = pos + lone, 0
             while True:  # after a primary: its power and what follows the factor
                 op = tokens[pos][0]
                 pos += 1
                 k = 1
                 if op == "^":
-                    k = int(tokens[pos][1] or 0)
-                    if not 0 < k <= MAX_EXPONENT:
-                        raise _malformed()
+                    k = int(tokens[pos][1])
                     op = tokens[pos + 1][0]
                     pos += 2
                     if kind == _GROUP:
@@ -548,19 +417,13 @@ class _Evaluator:
                         factors.append(_term(exps, c))
                         c, exps = 1, [0] * width
                     factors.append(x)
-                depth, negs, fresh = depth - negs, 0, False
+                fresh = False
                 if op == "*":
                     break
-                if op == ")":
-                    if not stack:
-                        raise _malformed()
-                    if len(stack[-1]) == 3:  # the group's chain goes on outside it
-                        sign, chain, negs = stack.pop()
-                        depth -= 1
-                        kind = _DONE
-                        continue
-                elif op != "+" and op != "-" and (stack or tokens[pos - 1] != _EOF):
-                    raise _malformed()
+                if op == ")" and len(stack[-1]) == 2:  # the group's chain goes on outside it
+                    sign, chain = stack.pop()
+                    kind = _DONE
+                    continue
                 if factors:  # the chain ends
                     if c != 1 or any(exps):
                         factors.append(_term(exps, c))
@@ -579,19 +442,22 @@ class _Evaluator:
                     value = _Plan("sum", [value, *plans] if value else plans, None)
                 if op != ")":
                     return value
-                polys, terms, plans, sign, c, exps, factors, fresh, chain, negs = stack.pop()
-                depth -= 1
+                polys, terms, plans, sign, c, exps, factors, fresh, chain = stack.pop()
                 kind, x = _GROUP, value
 
     def slot(self, src: str, tokens: list[tuple[str, ...]], pos: int) -> int:
-        """The slot of the variable at tokens[pos] where the slot table has none, as for t01; else an error."""
+        """The slot of the variable at tokens[pos] where the slot table has none, as for t01; else an error.
+
+        The error is that the index is above n.  A variable that is not
+        well formed gets it too, but then src has a lexical error, which
+        _first_pass finds and raises instead.
+        """
         _, _, word, digits, _, _ = tokens[pos]
-        if not (word in self.prefixes and 0 < len(digits) <= MAX_DIGITS and 0 < (index := int(digits)) <= MAX_INDEX):
-            raise _malformed()
-        if index > self.n:
-            offset = _tokenize(src, self.prefixes)[pos][2]
-            raise ParseError(offset, f"variable index {index} exceeds the {self.n} available variables")
-        return index - 1 if word == "t" else self.n + index - 1
+        index = int(digits) if 0 < len(digits) <= MAX_DIGITS else 0
+        if word in self.slots and 0 < index <= self.n:
+            return self.slots[word][str(index)]
+        offset = next(islice(_TOKEN.finditer(src), pos, None)).start(3) + 1
+        raise ParseError(offset, f"variable index {index} exceeds the {self.n} available variables")
 
     def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
         """The sum of the Polys and the terms (exponents, coefficient)."""
@@ -774,25 +640,27 @@ def check_variable_count(n: int) -> int:
 def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tuple[_Evaluator, Poly | _Plan]]:
     """Each text (source, second, reorder) in one n, given or the largest index in any: its evaluator and its plan.
 
-    Errors come as parse_ast and the evaluation of its trees would find
-    them: a lexical or syntax error of any text, the first text's first,
-    before any semantic error.  The evaluation loop only notices that a
-    text is not well formed, so on any error parse_ast reads each text
-    again, and the loop's own error stands only if none of them fails.
+    _groups checks the syntax of every text before any is planned.
+    Errors come text by text, the first text's first: its lexical
+    error, then its syntax error, and only then any semantic one.
+    findall keeps no offsets, so on any error _checked reads each text
+    again, by _tokenize, and the semantic error stands only if none of
+    them fails.
     """
     tokens = [_TOKEN.findall(src) for src, _, _ in texts]
     if n is None:
-        # the largest index where a variable is well formed: that of the tree if all are
+        # the largest index among the well-formed variables: all of them, in texts that parse
         indices = (int(digits) for each in tokens for _, _, word, digits, _, _ in each if word and 0 < len(digits) <= MAX_DIGITS)
         n = max((index for index in indices if 0 < index <= MAX_INDEX), default=1)
     else:
         check_variable_count(n)
     evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
     try:
-        return [(ev, ev.plan(src, each)) for ev, (src, _, _), each in zip(evaluators, texts, tokens)]
+        groups = list(map(_groups, tokens))
+        return [(ev, ev.plan(src, each, found)) for ev, (src, _, _), each, found in zip(evaluators, texts, tokens, groups)]
     except ParseError:
-        for ev, (src, _, _) in zip(evaluators, texts):
-            parse_ast(src, ev.prefixes)
+        for ev, (src, _, _), each in zip(evaluators, texts, tokens):
+            _checked(src, ev.prefixes, each)
         raise
 
 

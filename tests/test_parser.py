@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from unittest import mock
@@ -18,14 +19,7 @@ from weylcalc.parser import (
     MAX_JET_BASIS,
     MAX_NESTING,
     MAX_POWER_BITS,
-    Add,
-    Mul,
-    Neg,
-    Num,
     ParseError,
-    Pow,
-    Sub,
-    Var,
     _Evaluator,
     _Plan,
     _term,
@@ -131,6 +125,39 @@ def test_error_offsets(src, offset, fragment):
     assert err.value.offset == offset
     assert fragment in err.value.message
     assert f"at offset {offset}" in str(err.value)
+
+
+# Which error a call reports, where its texts have several: each text's lexical error, then its
+# syntax error, the first text's before the second's, and a semantic error (an index above n, a
+# size over the budget) only where no text has either.
+WHICH_ERROR_WINS = [
+    pytest.param(parse_commutator, ("x1", "("), "parse error at offset 1: unknown variable 'x'; expected one of: d, t",
+                 id="lexical in text 1 before syntax in text 2"),
+    pytest.param(parse_commutator, ("t1 +", "x1"), "parse error at offset 5: expected a number, a variable, or '('",
+                 id="syntax in text 1 before lexical in text 2"),
+    pytest.param(parse_action, ("t5", "(", 2), "parse error at offset 2: expected a number, a variable, or '('",
+                 id="syntax in text 2 before an index above n in text 1"),
+    pytest.param(parse_commutator, ("(t1+t2+t3+d1+d2+d3)^40", "("),
+                 "parse error at offset 2: expected a number, a variable, or '('", id="syntax before a size refusal"),
+    pytest.param(parse_operator, ("t1 + + x1",), "parse error at offset 8: unknown variable 'x'; expected one of: d, t",
+                 id="a later lexical error before an earlier syntax error"),
+    pytest.param(parse_action, ("d1", "t1 + d1"), "parse error at offset 6: unknown variable 'd'; expected one of: t",
+                 id="the polynomial's prefixes"),
+    pytest.param(parse_commutator, ("t3", "t1^", 2), "parse error at offset 4: expected a positive integer exponent",
+                 id="syntax in text 2 before an index above n in text 1, n given"),
+    pytest.param(parse_operator, ("-" * (MAX_NESTING + 1) + "t1",),
+                 f"parse error at offset {MAX_NESTING + 1}: parentheses and unary minus nest deeper than {MAX_NESTING} levels",
+                 id="nesting"),
+    pytest.param(parse_operator, ("t1 + ( ",), "parse error at offset 8: expected a number, a variable, or '('",
+                 id="an open parenthesis at the end"),
+]
+
+
+@pytest.mark.parametrize("parse,args,message", WHICH_ERROR_WINS)
+def test_which_error_wins(parse, args, message):
+    with pytest.raises(ParseError) as err:
+        parse(*args)
+    assert str(err.value) == message
 
 
 def test_numbers_and_indices_are_bounded():
@@ -340,8 +367,7 @@ def compose_all(node, n):
     ],
 )
 def test_mixed_expressions_match_composition_alone(src):
-    ast = parse_ast(src, {"t", "d"})
-    assert parse_operator(src, n=3) == compose_all(ast, 3)
+    assert parse_operator(src, n=3) == compose_all(reference_parse(src, {"t", "d"}), 3)
 
 
 @given(polys())
@@ -578,24 +604,65 @@ def expressions(variables):
 @settings(max_examples=300, deadline=None)
 @given(expressions(["t1", "t2", "d1", "d2"]))
 def test_operators_match_composition_of_every_node(src):
-    assert parse_operator(src, n=2) == compose_all(parse_ast(src, {"t", "d"}), 2)
+    assert parse_operator(src, n=2) == compose_all(reference_parse(src, {"t", "d"}), 2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(expressions(["t1", "t2"]))
 def test_polynomials_match_multiplication_of_every_node(src):
-    assert parse_poly(src, n=2) == poly_all(parse_ast(src, {"t"}), 2)
+    assert parse_poly(src, n=2) == poly_all(reference_parse(src, {"t"}), 2)
 
 
-# -- the loop descent against the recursive descent it replaced --------------
+# -- the syntax check against the recursive descent it replaced --------------
+
+
+@dataclass
+class Num:
+    value: Fraction
+
+
+@dataclass
+class Var:
+    prefix: str
+    index: int
+    offset: int
+
+
+@dataclass
+class Neg:
+    inner: object
+
+
+@dataclass
+class Pow:
+    base: object
+    exponent: int
+
+
+@dataclass
+class Add:
+    left: object
+    right: object
+
+
+@dataclass
+class Sub:
+    left: object
+    right: object
+
+
+@dataclass
+class Mul:
+    left: object
+    right: object
 
 
 class ReferenceParser:
     """The parser's former recursive descent, kept as an independent reference.
 
-    One method per grammar rule; it reads a number as a Fraction, where
-    the loop descent keeps an integer literal an int.  The trees compare
-    equal all the same, since 2 == Fraction(2).
+    One method per grammar rule, each building a node of the tree above;
+    it reads a number as a Fraction.  The references that evaluate every
+    node (compose_all, poly_all, reference_sum) walk its trees.
     """
 
     def __init__(self, tokens):
@@ -687,11 +754,26 @@ def reference_parse(src, prefixes):
     return ReferenceParser(_tokenize(src, frozenset(prefixes))).parse()
 
 
+def reference_max_index(node):
+    """The largest index of a variable in the tree; 0 if there is none."""
+    best, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            best = max(best, node.index)
+        elif not isinstance(node, Num):
+            stack += [child for child in vars(node).values() if not isinstance(child, int)]
+    return best
+
+
 def assert_same_parse(src, prefixes):
-    """parse_ast and reference_parse give equal trees, or errors at one offset with one message."""
+    """parse_ast accepts what reference_parse accepts, with its largest index, or both fail at one offset with one message."""
     got, want = outcome(parse_ast, src, prefixes), outcome(reference_parse, src, prefixes)
-    assert got == want, src
-    return type(want) is not tuple
+    if type(want) is tuple:
+        assert got == want, src
+        return False
+    assert type(got) is list and max_index(got) == reference_max_index(want), src
+    return True
 
 
 def test_descent_matches_the_recursive_descent_on_random_strings():
@@ -701,6 +783,38 @@ def test_descent_matches_the_recursive_descent_on_random_strings():
         src = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
         trees += assert_same_parse(src, rng.choice(PREFIX_SETS))
     assert trees > 100
+
+
+# Tokens of the random strings below: every kind of primary, operators in and out of place,
+# exponents and denominators out of range, and lexical errors.
+TOKENS = ["t1", "d2", "3", "0", "2/3", "1/0", "/", "^", "^2", "^0", f"^{MAX_EXPONENT + 1}", "*", "+", "-", "(", ")",
+          "x1", "t0", ".", " "]
+
+
+def token_string(rng):
+    """Up to 14 random tokens; one string in 100 after about MAX_NESTING minus signs, one in 100 inside as many parentheses."""
+    src = "".join(rng.choice(TOKENS) for _ in range(rng.randint(0, 14)))
+    deep, levels = rng.random(), rng.randint(MAX_NESTING - 5, MAX_NESTING + 5)
+    if deep < 0.01:
+        return "-" * levels + src
+    if deep < 0.02:
+        return "(" * levels + src + ")" * levels
+    return src
+
+
+def test_descent_matches_the_recursive_descent_on_token_strings():
+    # the character-level strings above are almost never deep or long enough to reach the limits
+    rng = random.Random(20261020)
+    accepted = deep = 0
+    for _ in range(20000):
+        src = token_string(rng)
+        prefixes = rng.choice(PREFIX_SETS)
+        deep += src.startswith(("-" * (MAX_NESTING - 5), "(" * (MAX_NESTING - 5)))
+        if assert_same_parse(src, prefixes):
+            accepted += 1
+            if prefixes == PREFIX_SETS[0]:
+                assert assert_same_as_the_tree_walk("operator", src)
+    assert accepted > 300 and deep > 300
 
 
 @settings(max_examples=300, deadline=None)
@@ -721,12 +835,6 @@ def test_descent_matches_the_recursive_descent_at_the_nesting_limit(levels):
         assert_same_parse(src[:-1], {"t", "d"})
 
 
-def test_integer_literals_stay_ints():
-    tree = parse_ast("2*3/4 - 6/3", {"t"})
-    assert tree == Sub(Mul(Num(2), Num(Fraction(3, 4))), Num(2))
-    assert type(tree.left.left.value) is int and type(tree.left.right.value) is type(tree.right.value) is Fraction
-
-
 def test_long_polynomial_round_trips():
     rng = random.Random(5)
     p = Poly(2, {(j % 71, j // 71): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for j in range(5000)})
@@ -740,9 +848,9 @@ def test_long_operator_round_trips():
 
 
 def test_max_index_walks_a_long_sum():
-    ast = parse_ast(" + ".join(f"t{j % 7 + 1}*d2" for j in range(5000)), {"t", "d"})
-    assert max_index(ast) == 7
-    assert max_index(ast, {"d"}) == 2
+    tokens = parse_ast(" + ".join(f"t{j % 7 + 1}*d2" for j in range(5000)), {"t", "d"})
+    assert max_index(tokens) == 7
+    assert max_index(tokens, {"d"}) == 2
 
 
 @pytest.mark.parametrize(
@@ -753,7 +861,7 @@ def test_max_index_walks_a_long_sum():
 def test_nesting_limit(unit, close, levels):
     times = MAX_NESTING // levels
     ok = unit * times + "d1" + close * times
-    assert parse_operator(ok, 1) == compose_all(parse_ast(ok, {"t", "d"}), 1)
+    assert parse_operator(ok, 1) == compose_all(reference_parse(ok, {"t", "d"}), 1)
     deep = unit * times + "-d1" + close * times
     with pytest.raises(ParseError) as err:
         parse_operator(deep)
@@ -761,27 +869,13 @@ def test_nesting_limit(unit, close, levels):
     assert f"deeper than {MAX_NESTING} levels" in err.value.message
 
 
-def test_nodes_keep_their_fields():
-    ast = parse_ast("-t1^2*3/4 - d2", {"t", "d"})
-    assert ast == Sub(Mul(Neg(Pow(Var("t", 1, 2), 2)), Num(Fraction(3, 4))), Var("d", 2, 13))
-
-
-def test_nodes_compare_and_print_like_dataclasses():
-    a, b = Var("t", 1, 1), Num(Fraction(2))
-    assert Add(a, b) == Add(Var("t", 1, 1), Num(Fraction(2)))
-    # equality is strict about the class, whatever the fields
-    assert Add(a, b) != Sub(a, b) and Sub(a, b) != Mul(a, b) and Add(a, b) != Add(b, a)
-    assert Num(Fraction(2)) != Fraction(2)
-    for node in (a, b, Neg(a), Pow(a, 2), Add(a, b), Sub(a, b), Mul(a, b)):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(node)
-        with pytest.raises(AttributeError):
-            node.extra = 1  # slotted: no fields but the declared ones
-    assert repr(Var("t", 1, 2)) == "Var(prefix='t', index=1, offset=2)"
-    assert repr(Sub(Neg(Pow(a, 2)), b)) == (
-        "Sub(left=Neg(inner=Pow(base=Var(prefix='t', index=1, offset=1), exponent=2)), "
-        "right=Num(value=Fraction(2, 1)))"
-    )
+@pytest.mark.parametrize("term", ["-t1", "-(t1)", "(-(t1))^2", "--(d1*-t1)", "-(-(t1) + 1)*-2"])
+def test_nesting_counts_only_what_is_open(term):
+    # a unary minus's level ends with its factor and a parenthesis's at its ')', so a sum of
+    # many shallow terms is as deep as one of them
+    src = " + ".join([term] * (2 * MAX_NESTING))
+    assert assert_same_parse(src, {"t", "d"})
+    assert parse_operator(src, 1) == compose_all(reference_parse(src, {"t", "d"}), 1)
 
 
 def test_a_finished_product_is_not_multiplied_by_one(monkeypatch):
@@ -949,7 +1043,7 @@ def test_refused_inputs_make_no_kernel_call(monkeypatch, source, message):
 def reference_sum(evaluator, node):
     """The evaluator's former first pass over a tree, kept as an independent reference.
 
-    It walks the tree parse_ast builds, with the live evaluator's sizing
+    It walks the tree reference_parse builds, with the live evaluator's sizing
     (shape, times, raised), its sum of parts (add) and its one-term Poly
     (_term), so that equal plans come out where the two passes read the
     text alike.  A sum and a product chain are walked with an explicit
@@ -1031,9 +1125,9 @@ def reference_product(evaluator, node, c):
 
 def reference_first_pass(n, *texts):
     """parser._first_pass as it was: each text (source, second, reorder) to a tree, then to a plan."""
-    trees = [parse_ast(src, {"t", second or "t"}) for src, second, _ in texts]
+    trees = [reference_parse(src, {"t", second or "t"}) for src, second, _ in texts]
     if n is None:
-        n = max(1, *map(max_index, trees))
+        n = max(1, *map(reference_max_index, trees))
     check_variable_count(n)
     evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
     return [(evaluator, reference_sum(evaluator, tree)) for evaluator, tree in zip(evaluators, trees)]
@@ -1147,23 +1241,32 @@ def test_the_loop_matches_the_tree_walk_on_products_of_a_cycle():
 
 
 def test_an_accepted_input_makes_no_parse_ast_call(monkeypatch):
+    # the scan keeps no offsets: a text is tokenized again only on an error, and a syntax
+    # error in any text of a call is found before any text is planned
     calls = []
-    for name in ("parse_ast", "_tokenize", "_parse"):
-        def counted(*args, name=name, inner=getattr(parser, name)):
+    for owner, name in [(parser, "parse_ast"), (parser, "_tokenize"), (_Evaluator, "plan")]:
+        def counted(*args, name=name, inner=getattr(owner, name)):
             calls.append(name)
             return inner(*args)
 
-        monkeypatch.setattr(parser, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     parse_operator("-(t1*(t1+d1)^2) + t02 - (t1+d1)*d1")
     parse_poly("(t1 + 1/2)^3 - t2")
     parse_symbol("x1*(t1*x2 + x1)")
     parse_commutator("d1^2", "t1^2")
     parse_action("d1*(t1+d1)", "t1^3", 2)
     parse_jet_map("1,0 -> t2\n", 1)
-    assert calls == []
+    assert calls == ["plan"] * 8
+    calls.clear()
+    with pytest.raises(ParseError, match="expected a number"):
+        parse_commutator("d1^2", "t1 +")
+    with pytest.raises(ParseError, match="expected a positive integer exponent"):
+        parse_action("t1^", "t1^2")
+    assert calls == ["_tokenize"] * 3
+    calls.clear()
     with pytest.raises(ParseError, match="exceeds the 1 available variables"):
         parse_operator("t2", 1)
-    assert "parse_ast" in calls
+    assert calls[0] == "plan" and "_tokenize" in calls
 
 
 @pytest.mark.parametrize("n,message", [(0, "need at least one variable, got 0"),
