@@ -19,7 +19,8 @@ no operator is applied.  restriction goes forward instead: it walks
 each word J of D once and adds f_J * I!/(I-J)! * t^(I-J) into the
 value of every basis monomial t^I with I >= J.  It neither applies D
 per monomial nor shares the inversion, so the two directions stay
-independent of each other.
+independent of each other.  Only restriction packs monomials into ints:
+each of its terms is added for many I, and from_jet_map's only about once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from .operators import DiffOp, _by_word
 from .poly import MultiIndex, Poly, monomials_up_to, subindices
@@ -117,31 +118,36 @@ def restriction(D: DiffOp, k: int) -> JetMap:
     of degree at most k is walked once, over I = J + R for every R with
     |R| <= k - |J|, and its numerators, times perm(I, J), go into one
     integer dict per I over den(D).  Words above k reach no basis
-    monomial.
+    monomial.  The dicts are keyed by exponents packed as the digits of
+    one int base top = k + 1 + (largest t-exponent of D), so t^T t^R is
+    one int add, as no T_i + R_i reaches top; nonzero sums are unpacked.
     """
     if k < 0:
         raise ValueError(f"degree bound must be nonnegative, got {k}")
     n = D.n
     basis = monomials_up_to(n, k)
-    table: dict[MultiIndex, dict[tuple, int]] = {I: {} for I in basis}
+    table: dict[MultiIndex, dict[int, int]] = {I: {} for I in basis}
+    top = k + 1 + max((max(key[:n]) for key in D.poly._num), default=0)
+    weights = [top**i for i in reversed(range(n))]
+    packed = [(R, sum(map(mul, R, weights))) for R in basis]
     for J, group in _by_word(n, D.poly).items():
         room = k - sum(J)
         if room < 0:
             continue
-        terms = [(key[:n], c) for key, c in group]
+        # map stops with weights, after the n t-exponents of each key
+        terms = [(sum(map(mul, key, weights)), c) for key, c in group]
         # basis ascends through degrees, so its first C(n + room, n) entries have degree <= room
-        for R in basis[: math.comb(n + room, n)]:
+        for R, r in packed[: math.comb(n + room, n)]:
             I = (*map(add, J, R),)
             acc = table[I]
             get = acc.get
             scale = math.prod(map(math.perm, I, J))
             for T, c in terms:
-                key = (*map(add, T, R),)
+                key = T + r
                 acc[key] = get(key, 0) + c * scale
     den = D.poly._den
-    return JetMap._make(
-        n, k, {I: Poly._make(n, {key: c for key, c in acc.items() if c}, den) for I, acc in table.items()}
-    )
+    nums = {I: {tuple(p // w % top for w in weights): c for p, c in acc.items() if c} for I, acc in table.items()}
+    return JetMap._make(n, k, {I: Poly._make(n, num, den) for I, num in nums.items()})
 
 
 def from_jet_map(A: JetMap) -> DiffOp:

@@ -348,9 +348,13 @@ def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[tu
     right term unless K is at most the reach, the right factor's
     componentwise largest t-exponent, so K runs over K <= min(X, reach)
     only.  skip_zero leaves out K = 0, the commuting product of a and b,
-    which comes first in product order.
+    which comes first in product order; a multiplication (a of word 0
+    only) then has no K left, so it returns before b's reach is taken.
     """
     if not b:
+        return
+    groups = _by_word(n, a)
+    if skip_zero and groups.keys() <= {(0,) * n}:
         return
     reach = _reach(key[:n] for key in b._num)
     # K -> the right terms d_t^K keeps: (exponents less K in both halves, numerator
@@ -358,7 +362,7 @@ def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[tu
     # at K = 0 the right terms are used as they stand
     derivatives: dict[tuple, Iterable[tuple[tuple, int]]] = {(0,) * n: b._num.items()}
     get = acc.get
-    for X, left in _by_word(n, a).items():
+    for X, left in groups.items():
         for K in islice(product(*[range(min(x, r) + 1) for x, r in zip(X, reach)]), int(skip_zero), None):
             right = derivatives.get(K)
             if right is None:

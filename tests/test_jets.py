@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weylcalc.jets import JetMap, d_basis, from_jet_map, restriction
 from weylcalc.operators import DiffOp
@@ -99,7 +99,23 @@ def operator_and_degree(draw):
     return D, draw(st.integers(0, 4))
 
 
+def top_digit_case(n, k=2, m=3):
+    """(D, k) where D(t_i^k) holds t_i^(m + k) for every i: the digit top - 1 of restriction's packing."""
+    powers = sum((Poly.monomial(n, [m if j == i else 0 for j in range(n)]) for i in range(n)), Poly.zero(n))
+    return DiffOp(n, {(0,) * n: powers + 1, (1,) + (0,) * (n - 1): Poly.variable(n, n)}), k
+
+
+# restriction adds monomials packed into one int; these reach the largest digit, a
+# lone huge exponent, a sum that cancels to zero, and tables with no word to add
 @given(operator_and_degree())
+@example(top_digit_case(1))
+@example(top_digit_case(2))
+@example(top_digit_case(3))
+@example((DiffOp(2, {(1, 0): t(1) ** 1000 + t(2), (0, 1): Poly.const(2, 3), (0, 0): t(1) * t(2)}), 3))
+@example((DiffOp(2, {(1, 0): t(1), (0, 0): Poly.const(2, -1)}), 2))
+@example((DiffOp(2, {(0, 0): t(2) ** 3 + 1, (1, 0): t(1)}), 0))
+@example((DiffOp.zero(3), 2))
+@example((DiffOp(2, {(1, 1): t(1) ** 4, (0, 2): t(2)}), 1))
 def test_restriction_matches_the_applied_oracle(case):
     D, k = case
     assert restriction(D, k) == applied_restriction(D, k)
