@@ -121,32 +121,36 @@ def restriction(D: DiffOp, k: int) -> JetMap:
     monomial.  The dicts are keyed by exponents packed as the digits of
     one int base top = k + 1 + (largest t-exponent of D), so t^T t^R is
     one int add, as no T_i + R_i reaches top; nonzero sums are unpacked.
+    The basis monomials are packed the same way, so I = J + R is found
+    by one int add too, and perm(I, J) = I!/R! from the factorial
+    products kept with them.
     """
     if k < 0:
         raise ValueError(f"degree bound must be nonnegative, got {k}")
     n = D.n
     basis = monomials_up_to(n, k)
-    table: dict[MultiIndex, dict[int, int]] = {I: {} for I in basis}
     top = k + 1 + max((max(key[:n]) for key in D.poly._num), default=0)
     weights = [top**i for i in reversed(range(n))]
-    packed = [(R, sum(map(mul, R, weights))) for R in basis]
+    # each basis monomial R as (R packed, R!), and the table by packed I: its dict and I!
+    packed = [(sum(map(mul, R, weights)), math.prod(map(math.factorial, R))) for R in basis]
+    table = {r: ({}, f) for r, f in packed}
     for J, group in _by_word(n, D.poly).items():
         room = k - sum(J)
         if room < 0:
             continue
+        j = sum(map(mul, J, weights))
         # map stops with weights, after the n t-exponents of each key
         terms = [(sum(map(mul, key, weights)), c) for key, c in group]
         # basis ascends through degrees, so its first C(n + room, n) entries have degree <= room
-        for R, r in packed[: math.comb(n + room, n)]:
-            I = (*map(add, J, R),)
-            acc = table[I]
+        for r, f in packed[: math.comb(n + room, n)]:
+            acc, g = table[j + r]
             get = acc.get
-            scale = math.prod(map(math.perm, I, J))
+            scale = g // f
             for T, c in terms:
                 key = T + r
                 acc[key] = get(key, 0) + c * scale
     den = D.poly._den
-    nums = {I: {tuple(p // w % top for w in weights): c for p, c in acc.items() if c} for I, acc in table.items()}
+    nums = {I: {tuple(p // w % top for w in weights): c for p, c in acc.items() if c} for I, (acc, _) in zip(basis, table.values())}
     return JetMap._make(n, k, {I: Poly._make(n, num, den) for I, num in nums.items()})
 
 

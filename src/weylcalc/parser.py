@@ -49,8 +49,12 @@ the chain around it, and only a sum that is a factor, or a group other
 than a lone atom raised to a power, is a value of its own.
 
 The evaluator works in two passes.  The first, that loop, computes
-every part that multiplies nothing but atoms, as above, and turns each
-other product,
+every part that multiplies nothing but atoms, as above, and a sum of
+atom chains that a chain multiplies by numbers and atoms alone, as in
+each printed term (f_J)*d^J: where no d_i of the sum meets a t_i of
+the chain's term, each of its terms times that term is one term, so
+the product keeps the sum's term count, and the size rule refuses it
+only where that count reaches a cap.  It turns each other product,
 power and sum into a plan that carries its shape: an upper bound on its
 terms, on its coefficients (the sum of |numerators| and a denominator,
 as exact integers), on its exponents and degrees, and a progression
@@ -84,7 +88,7 @@ from functools import reduce
 from itertools import islice
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter, le, mul
+from operator import add, itemgetter, le, mul, sub
 
 from .jets import JetMap
 from .operators import DiffOp, commutator
@@ -128,33 +132,41 @@ class ParseError(ValueError):
 # operator character itself, and index is the variable index (0 otherwise).
 Token = tuple[str, str, int, int]
 
-# After optional whitespace, one of: an operator, a number of at most
-# MAX_DIGITS digits, a letter run with the decimal digits after it, a longer
-# number, any other character, the end.  The first three never match at one
-# place, so trying the operator first changes no token.  \d is exactly what
-# int() reads; the letter class also takes numeric characters such as '²'
-# and '½', which _bad_variable rejects.
-_TOKEN = re.compile(rf"\s*(?:([-+*^/()])|(\d{{1,{MAX_DIGITS}}})(?!\d)|([^\W\d_]+)(\d*)|(\d+)|(.)|\Z)", re.DOTALL)
+# After optional whitespace, one of: a token, that is an operator, a number
+# of at most MAX_DIGITS digits, or a letter run with the decimal digits after
+# it; else a longer number, any other character, or the end, which findall
+# gives as "".  findall reads the text with no trailing whitespace, so that
+# "" is the end only as the last token.  The three kinds of token never match
+# at one place, so trying the operator first changes no token.  \d is exactly
+# what int() reads and str.isdecimal() tells; the letter class also takes
+# numeric characters such as '²' and '½', which _bad_variable rejects.
+_TOKEN = re.compile(rf"\s*(?:([-+*^/()]|\d{{1,{MAX_DIGITS}}}(?!\d)|[^\W\d_]+\d*)|\d+|.|\Z)", re.DOTALL)
+# A variable token's letter run and digits.
+_VARIABLE = re.compile(r"([^\W\d_]+)(\d*)")
 
 
 def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     for m in _TOKEN.finditer(src):
-        group = m.lastindex
-        if group == 1:
-            append((m[1], m[1], m.end(), 0))
-        elif group == 4:
-            word, digits = m[3], m[4]
+        text, offset = m[1], m.start(1) + 1
+        if text is None:  # a longer number, another character, or the end
+            rest = m[0].lstrip()
+            if not rest:
+                break
+            offset = m.end() - len(rest) + 1
+            if rest.isdecimal():
+                raise ParseError(offset, f"number longer than {MAX_DIGITS} digits")
+            raise ParseError(offset, f"unexpected character {rest!r}")
+        if text.isdecimal():
+            append(("num", text, offset, 0))
+        elif text in "-+*^/()":
+            append((text, text, offset, 0))
+        else:
+            word, digits = _VARIABLE.fullmatch(text).groups()
             if not (word in prefixes and 0 < len(digits) <= MAX_DIGITS and 0 < (index := int(digits)) <= MAX_INDEX):
-                _bad_variable(word, digits, m.start(3) + 1, prefixes)
-            append(("var", word, m.start(3) + 1, index))
-        elif group == 2:
-            append(("num", m[2], m.start(2) + 1, 0))
-        elif group == 5:
-            raise ParseError(m.start(5) + 1, f"number longer than {MAX_DIGITS} digits")
-        elif group == 6:
-            raise ParseError(m.end(), f"unexpected character {m[6]!r}")
+                _bad_variable(word, digits, offset, prefixes)
+            append(("var", word, offset, index))
     append(("eof", "", len(src) + 1, 0))
     return tokens
 
@@ -188,11 +200,9 @@ def _bad_variable(word: str, digits: str, offset: int, prefixes: frozenset[str])
 # value, or a group already added to the chain.
 _ATOM, _CHAIN, _SUM = range(3)
 _VAR, _NUM, _GROUP, _DONE = range(4)
-# The token _TOKEN.findall gives at the end of the text.
-_EOF = ("",) * 6
 
 
-def _groups(tokens: list[tuple[str, ...]]) -> dict[int, tuple[int, int]]:
+def _groups(tokens: list[str]) -> dict[int, tuple[int, int]]:
     """(index of its ')', what it holds) for each closed '(', by its token index; the syntax checked.
 
     One loop over the tokens (_TOKEN.findall) in two states: an operand
@@ -208,14 +218,14 @@ def _groups(tokens: list[tuple[str, ...]]) -> dict[int, tuple[int, int]]:
     stack: list[list[int]] = []  # per open '(': its index, what it holds, the minus signs before it
     depth = negs = i = 0
     while True:
-        op, num, word, _, _, _ = tokens[i]
-        if num:
-            if tokens[i + 1][0] == "/":
+        op = tokens[i]
+        if op.isdecimal():
+            if tokens[i + 1] == "/":
                 i += 2
                 _positive(tokens, i, "expected a positive integer denominator", "denominator must be positive")
-        elif not word:
-            if op != "-" and op != "(":
-                raise ParseError(i, "expected a number, a variable, or '('")
+        elif op in "+*^/)":  # so is "", which is no token
+            raise ParseError(i, "expected a number, a variable, or '('")
+        elif op == "-" or op == "(":
             depth += 1
             if depth > MAX_NESTING:
                 raise ParseError(i, f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
@@ -228,13 +238,13 @@ def _groups(tokens: list[tuple[str, ...]]) -> dict[int, tuple[int, int]]:
             continue
         while True:  # after a primary: its power, then what follows the factor
             i += 1
-            op = tokens[i][0]
+            op = tokens[i]
             if op == "^":
                 i += 1
                 if _positive(tokens, i, "expected a positive integer exponent", "exponent must be at least 1") > MAX_EXPONENT:
                     raise ParseError(i, f"exponent larger than {MAX_EXPONENT}")
                 i += 1
-                op = tokens[i][0]
+                op = tokens[i]
             if negs:
                 depth -= negs
                 negs = 0
@@ -247,28 +257,28 @@ def _groups(tokens: list[tuple[str, ...]]) -> dict[int, tuple[int, int]]:
                 i += 1
                 break
             if not stack:
-                if tokens[i] != _EOF:
+                if op or i + 1 < len(tokens):  # "" is the end only as the last token
                     raise ParseError(i, "unexpected trailing input")
                 return groups
             if op != ")":
                 raise ParseError(i, "expected ')'")
             j, content, negs = stack.pop()
             depth -= 1
-            if i == j + 2 or i == j + 4 and tokens[j + 2][0] == "/" or groups.get(j + 1) == (i - 1, _ATOM):
+            if i == j + 2 or i == j + 4 and tokens[j + 2] == "/" or groups.get(j + 1) == (i - 1, _ATOM):
                 content = _ATOM
             groups[j] = (i, content)
 
 
-def _positive(tokens: list[tuple[str, ...]], i: int, expected: str, too_small: str) -> int:
+def _positive(tokens: list[str], i: int, expected: str, too_small: str) -> int:
     """The positive integer that tokens[i] must be, an exponent or a denominator; else the error at i."""
-    if not tokens[i][1]:
+    if not tokens[i].isdecimal():
         raise ParseError(i, expected)
-    if (value := int(tokens[i][1])) < 1:
+    if (value := int(tokens[i])) < 1:
         raise ParseError(i, too_small)
     return value
 
 
-def _checked(src: str, prefixes: frozenset[str], found: list[tuple[str, ...]]) -> list[Token]:
+def _checked(src: str, prefixes: frozenset[str], found: list[str]) -> list[Token]:
     """src's tokens, by _tokenize, and found (its findall tokens) checked by _groups.
 
     _tokenize raises src's lexical error, if any, first; a syntax error
@@ -290,7 +300,7 @@ def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> list[Token]:
     oracles of perfbench/workloads.py and tests/test_cli_fuzz.py, until
     ROADMAP item 5 moves the benchmark's oracle off them.
     """
-    return _checked(src, frozenset(prefixes), _TOKEN.findall(src))
+    return _checked(src, frozenset(prefixes), _TOKEN.findall(src.rstrip()))
 
 
 def max_index(tokens: list[Token], prefixes: frozenset[str] | set[str] | None = None) -> int:
@@ -328,12 +338,12 @@ class _Evaluator:
         self.n, self.reorder = n, reorder
         self.width = n if second is None else 2 * n
         self.prefixes = frozenset({"t"} if second is None else {"t", second})
-        # prefix -> index digits -> slot, for the indices written without leading zeros
-        self.slots = {"t": {str(i): i - 1 for i in range(1, n + 1)}}
+        # variable token -> slot, for the indices written without leading zeros
+        self.slots = {f"t{i}": i - 1 for i in range(1, n + 1)}
         if second is not None:
-            self.slots[second] = {str(i): n + i - 1 for i in range(1, n + 1)}
+            self.slots.update({f"{second}{i}": n + i - 1 for i in range(1, n + 1)})
 
-    def plan(self, src: str, tokens: list[tuple[str, ...]], groups: dict[int, tuple[int, int]]) -> Poly | _Plan:
+    def plan(self, src: str, tokens: list[str], groups: dict[int, tuple[int, int]]) -> Poly | _Plan:
         """The first pass over src's well-formed tokens (_TOKEN.findall): its value, or the plan that computes it.
 
         The state is that of the innermost open group: its sum's parts
@@ -347,6 +357,8 @@ class _Evaluator:
         - a lone atom, such as (t1) or ((3/4)), is that atom;
         - a group raised to a power, or a sum that is a factor, is a
           sum of its own, read with sign +1, whose value is a factor;
+          one of atom chains alone, not raised, stays its list of
+          terms, for product to multiply out where its chain ends;
         - a group of one chain that is a factor goes on with the chain;
         - a whole term, signs aside, adds its chains to the enclosing
           sum, each starting with the sign in front of the group.
@@ -360,27 +372,25 @@ class _Evaluator:
         stack: list[tuple] = []
         lone = pos = 0  # lone: the parentheses around the next atom alone
         while True:
-            op, num, word, digits, _, _ = tokens[pos]
+            op = tokens[pos]
             pos += 1
-            if word:
+            if (x := slots.get(op)) is not None:
                 kind = _VAR
-                try:
-                    x = slots[word][digits]
-                except KeyError:
-                    x = self.slot(src, tokens, pos - 1)
-            elif num:
-                kind, x = _NUM, int(num)
-                if tokens[pos][0] == "/":
-                    x, pos = Fraction(x, int(tokens[pos + 1][1])), pos + 2
+            elif op.isdecimal():
+                kind, x = _NUM, int(op)
+                if tokens[pos] == "/":
+                    x, pos = Fraction(x, int(tokens[pos + 1])), pos + 2
             elif op == "-":
                 c = -c
                 continue
-            else:  # '('
+            elif op != "(":
+                kind, x = _VAR, self.slot(src, tokens, pos - 1)
+            else:
                 close, content = groups[pos - 1]
                 if content == _ATOM:
                     lone += 1
                     continue
-                after = tokens[close + 1][0]
+                after = tokens[close + 1]
                 factor = chain or not fresh or after == "*"
                 if after == "^" or factor and content == _SUM:  # a sum of its own
                     stack.append((polys, terms, plans, sign, c, exps, factors, fresh, chain))
@@ -393,12 +403,12 @@ class _Evaluator:
                 continue
             pos, lone = pos + lone, 0
             while True:  # after a primary: its power and what follows the factor
-                op = tokens[pos][0]
+                op = tokens[pos]
                 pos += 1
                 k = 1
                 if op == "^":
-                    k = int(tokens[pos][1])
-                    op = tokens[pos + 1][0]
+                    k = int(tokens[pos])
+                    op = tokens[pos + 1]
                     pos += 2
                     if kind == _GROUP:
                         x = _Plan("pow", (x, k), self.raised(self.shape(x), k))
@@ -425,11 +435,7 @@ class _Evaluator:
                     kind = _DONE
                     continue
                 if factors:  # the chain ends
-                    if c != 1 or any(exps):
-                        factors.append(_term(exps, c))
-                    part = factors[0] if len(factors) == 1 else _Plan(
-                        "mul", factors, reduce(lambda out, s: self.times(out, s, "the product"), map(self.shape, factors))
-                    )
+                    part = self.product(factors, exps, c)
                     (plans if type(part) is _Plan else polys).append(part)
                 else:
                     terms.append((exps, c))
@@ -437,7 +443,8 @@ class _Evaluator:
                 if op == "+" or op == "-":
                     c = sign if op == "+" else -sign
                     break
-                value = self.add(polys, terms)
+                # a group's sum of atom chains alone, not raised, stays its terms for product
+                value = terms if op == ")" and not polys and not plans and tokens[pos] != "^" else self.add(polys, terms)
                 if plans:
                     value = _Plan("sum", [value, *plans] if value else plans, None)
                 if op != ")":
@@ -445,18 +452,18 @@ class _Evaluator:
                 polys, terms, plans, sign, c, exps, factors, fresh, chain = stack.pop()
                 kind, x = _GROUP, value
 
-    def slot(self, src: str, tokens: list[tuple[str, ...]], pos: int) -> int:
+    def slot(self, src: str, tokens: list[str], pos: int) -> int:
         """The slot of the variable at tokens[pos] where the slot table has none, as for t01; else an error.
 
         The error is that the index is above n.  A variable that is not
         well formed gets it too, but then src has a lexical error, which
         _first_pass finds and raises instead.
         """
-        _, _, word, digits, _, _ = tokens[pos]
+        word, digits = _VARIABLE.fullmatch(tokens[pos]).groups()
         index = int(digits) if 0 < len(digits) <= MAX_DIGITS else 0
-        if word in self.slots and 0 < index <= self.n:
-            return self.slots[word][str(index)]
-        offset = next(islice(_TOKEN.finditer(src), pos, None)).start(3) + 1
+        if word in self.prefixes and 0 < index <= self.n:
+            return self.slots[f"{word}{index}"]
+        offset = next(islice(_TOKEN.finditer(src), pos, None)).start(1) + 1
         raise ParseError(offset, f"variable index {index} exceeds the {self.n} available variables")
 
     def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
@@ -475,6 +482,40 @@ class _Evaluator:
             key = tuple(exps)
             acc[key] = get(key, 0) + c.numerator * (den // c.denominator)
         return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
+
+    def product(self, factors: list, exps: list[int], c: int | Fraction) -> Poly | _Plan:
+        """A chain's factors times its pending term c * t^a * y^b: a value where they multiply out, else a plan.
+
+        Where the factors are [S], S the terms of a group whose parts
+        are all chains of atoms, and no y_i in S's terms meets a t_i of
+        the term, each term of S times it is one term, so the product is
+        S with a and b added to its exponents, times c (fold).  It keeps
+        |S| terms, and so is refused by the size rule only if |S|
+        reaches the cap that its coefficient bits give.  There, and
+        where anything meets, the product is a plan, sized as one.  The
+        exponent lists of S are its own, shifted in place, and shifted
+        back for a plan.
+        """
+        terms, n = factors[0], self.n
+        if len(factors) == 1 and type(terms) is list and not (self.reorder and any(
+            e[n + i] for i in range(n) if exps[i] for e, _ in terms
+        )):
+            for i, k in enumerate(exps):
+                if k:
+                    for e, _ in terms:
+                        e[i] += k
+            S = self.add([], terms)
+            keys, num, den = S._num, c.numerator, c.denominator
+            if len(keys) <= MAX_POWER_BITS // ((sum(map(abs, keys.values())) * abs(num)).bit_length() + (S._den * den).bit_length()):
+                return S if c == 1 else Poly._make(self.width, {key: v * num for key, v in keys.items()} if num else {}, S._den * den)
+            for e, _ in terms:
+                e[:] = map(sub, e, exps)
+        factors = [self.add([], f) if type(f) is list else f for f in factors]
+        if c != 1 or any(exps):
+            factors.append(_term(exps, c))
+        if len(factors) == 1:
+            return factors[0]
+        return _Plan("mul", factors, reduce(lambda out, s: self.times(out, s, "the product"), map(self.shape, factors)))
 
     def value(self, x: Poly | _Plan) -> Poly:
         """x computed by the kernel; a plan has passed its size checks, so none are made here.
@@ -647,10 +688,10 @@ def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tup
     again, by _tokenize, and the semantic error stands only if none of
     them fails.
     """
-    tokens = [_TOKEN.findall(src) for src, _, _ in texts]
+    tokens = [_TOKEN.findall(src.rstrip()) for src, _, _ in texts]
     if n is None:
         # the largest index among the well-formed variables: all of them, in texts that parse
-        indices = (int(digits) for each in tokens for _, _, word, digits, _, _ in each if word and 0 < len(digits) <= MAX_DIGITS)
+        indices = (int(digits) for src, _, _ in texts for _, digits in _VARIABLE.findall(src) if 0 < len(digits) <= MAX_DIGITS)
         n = max((index for index in indices if 0 < index <= MAX_INDEX), default=1)
     else:
         check_variable_count(n)

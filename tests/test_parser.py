@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,7 +36,7 @@ from weylcalc.parser import (
     parse_symbol,
 )
 from weylcalc.poly import Poly
-from weylcalc.symbols import SymbolElem
+from weylcalc.symbols import SymbolElem, principal_symbol
 
 
 def coeffs():
@@ -899,6 +900,40 @@ def test_a_finished_product_is_not_multiplied_by_one(monkeypatch):
     assert units == [] and len(products) > 2
 
 
+def test_printed_operators_and_symbols_parse_back_with_no_kernel_product(monkeypatch):
+    # every printed term (f_J)*d^J is a sum times atoms in which nothing meets, so the first
+    # pass multiplies it out: no product per coefficient
+    power = heavy_power()
+    symbol = principal_symbol(parse_operator("((t1+t2)*d1 + t3*d2 - 1/2*t1*t2*d3)^4", 3))
+    texts = [str(power), str(symbol)]
+    assert all(re.search(r"\([^()]* [-+] [^()]*\)\*", text) for text in texts)  # a coefficient that is a sum
+    products = []
+    for owner, name in [(Poly, "__mul__"), (DiffOp, "compose")]:
+        def counted(*args, name=name, inner=getattr(owner, name)):
+            products.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert parse_operator(texts[0], 3) == power
+    assert parse_symbol(texts[1], 3) == symbol
+    assert products == []
+
+
+@pytest.mark.parametrize("src,printed", [
+    ("(t1+d1)*t1", "(t1)*d1 + t1^2 + 1"),
+    ("(t2+d1)*d2*t1", "(t1)*d1*d2 + (t1*t2 + 1)*d2"),
+    ("(t1*d1 + t2)*3*t1^2", "(3*t1^3)*d1 + 3*t1^2*t2 + 6*t1^2"),
+])
+def test_a_sum_whose_d_meets_a_t_after_it_is_composed(monkeypatch, src, printed):
+    # a d_i of the sum meets a t_i of the atoms after it: the kernel's star product
+    want = compose_all(reference_parse(src, {"t", "d"}), 2)
+    composed = []
+    monkeypatch.setattr(DiffOp, "compose", lambda left, right, inner=DiffOp.compose: composed.append(1) or inner(left, right))
+    got = parse_operator(src, 2)
+    assert got == want and str(got) == printed
+    assert composed == [1]
+
+
 def test_a_power_of_a_base_that_commutes_with_itself_makes_no_kernel_product(monkeypatch):
     # a one-term base commutes with itself, so its power is its exponents times k and its
     # coefficient to the k-th, where k kernel products would each build one term
@@ -981,6 +1016,10 @@ ACCEPTED = [
      "ab1a67ad9c60d2b018f36b9dd0f115aaf1362a1592ae6dc727f6b2ddbafbce49"),
     ("B8*B8*B8", ("operator", f"{B8}*{B8}*{B8}"),
      "270052b4ec9ade61ac4f5f3ec219ae5882f9c46efc77dedf1278d4d74b0a2976"),
+    # the group times 3 is multiplied out in the first pass, so the power's base is a value
+    # and is sized from its terms; as a plan, the base was refused at ^4
+    ("a folded sum in a power's base", ("operator", "(d1 + (2*t1^8 + 84)*3 + t2 + 1/2*t1 + 2*d1*d2)^4"),
+     "87b26344d0d2c6bb94d2715a33ab212e70bf9f83aa73bd679330436fe6d2719e"),
 ]
 
 
@@ -995,8 +1034,8 @@ def test_a_power_and_its_product_chain_get_one_verdict():
     assert parse_operator(f"{B8}^3") == parse_operator(f"{B8}*{B8}*{B8}")
 
 
-def test_heavy_round_trip_text_parses_back():
-    # the benchmark's heavy round trip: a first-order field in 3 variables to the 8th power
+def heavy_power():
+    """The benchmark's heavy round trip input: a first-order field in 3 variables to the 8th power."""
     rng = random.Random("heavy:7:0")
 
     def rational():
@@ -1005,7 +1044,11 @@ def test_heavy_round_trip_text_parses_back():
     units = [tuple(int(k == j) for k in range(3)) for j in range(3)]
     coefficients = {(0, 0, 0): Poly(3, {u: rational() for u in units})}
     field = DiffOp(3, {**coefficients, **{u: Poly.const(3, rational()) for u in units}})
-    power = field**8
+    return field**8
+
+
+def test_heavy_round_trip_text_parses_back():
+    power = heavy_power()
     text = str(power)
     assert hashlib.sha256(text.encode()).hexdigest() == "1760a013db6f122e9c73f677ee1b69ebb13c897fdde4289bf6ba7cfd528a8866"
     assert parse_operator(text, 3) == power
@@ -1018,6 +1061,9 @@ REFUSED = [
     pytest.param(("operator", "(t1+t2+t3+d1+d2+d3)^40"), r"the power \^40 is too large", id="s^40"),
     pytest.param(("construct", 100), "more than 300 monomials", id="construct --degree 100"),
     pytest.param(("operator", f"({F}*{F}+1)^2"), r"the power \^2 is too large", id="(F*F+1)^2"),
+    # 79 terms times a 4300-digit number: over the cap, 74 terms, of a sum times a number and an atom
+    pytest.param(("operator", "(" + "+".join(f"t{i}" for i in range(1, 80)) + ")*" + "9" * MAX_DIGITS + "*d1"),
+                 "the product is too large", id="(t1+...+t79)*nines*d1"),
 ]
 
 
@@ -1040,14 +1086,16 @@ def test_refused_inputs_make_no_kernel_call(monkeypatch, source, message):
 # -- the evaluation loop against the tree walk it replaced ---------------------
 
 
-def reference_sum(evaluator, node):
+def reference_sum(evaluator, node, raw=False):
     """The evaluator's former first pass over a tree, kept as an independent reference.
 
     It walks the tree reference_parse builds, with the live evaluator's sizing
     (shape, times, raised), its sum of parts (add) and its one-term Poly
     (_term), so that equal plans come out where the two passes read the
     text alike.  A sum and a product chain are walked with an explicit
-    stack; every Neg on the way to a product flips its sign.
+    stack; every Neg on the way to a product flips its sign.  With raw, a
+    sum whose parts are all chains of atoms is its list of terms, which
+    reference_product multiplies out.
     """
     polys, terms, plans = [], [], []  # Polys, (exponents, coefficient) terms, and plans
     stack = [(node, 1)]
@@ -1063,6 +1111,8 @@ def reference_sum(evaluator, node):
         else:
             part = reference_product(evaluator, node, sign)
             (terms if type(part) is tuple else plans if type(part) is _Plan else polys).append(part)
+    if raw and not polys and not plans:
+        return terms
     value = evaluator.add(polys, terms)
     return _Plan("sum", [value, *plans] if value else plans, None) if plans else value
 
@@ -1109,13 +1159,22 @@ def reference_product(evaluator, node, c):
             base, k = reference_sum(evaluator, node.base), node.exponent
             factor = _Plan("pow", (base, k), evaluator.raised(evaluator.shape(base), k))
         else:
-            factor = reference_sum(evaluator, node)
+            factor = reference_sum(evaluator, node, raw=True)
         if c != 1 or any(exps):
             factors.append(_term(exps, c))
             c, exps = 1, [0] * width
         factors.append(factor)
     if not factors:
         return exps, c
+    if len(factors) == 1 and type(factors[0]) is list:
+        # a sum of atom chains times numbers and atoms: its plain product, where no d_i of the
+        # sum's terms meets a t_i of the term and the product has fewer terms than its cap
+        raw, term = factors[0], _term(exps, c)
+        s, t = evaluator.shape(evaluator.add([], raw)), evaluator.shape(term)
+        meets = reorder and any(min(e[n + i], exps[i]) for e, _ in raw for i in range(n))
+        if not meets and s.terms < MAX_POWER_BITS // ((s.num * t.num).bit_length() + (s.den * t.den).bit_length()) + 1:
+            return evaluator.add([], raw) * term
+    factors = [evaluator.add([], f) if type(f) is list else f for f in factors]
     if c != 1 or any(exps):
         factors.append(_term(exps, c))
     if len(factors) == 1:
@@ -1231,6 +1290,17 @@ def test_the_loop_matches_the_tree_walk_on_signed_groups(src):
 def test_the_loop_matches_the_tree_walk_on_the_pinned_inputs(source):
     kind, *sources = source
     assert_same_as_the_tree_walk(kind, *sources, values=kind == "construct")
+
+
+def test_a_sum_at_its_cap_is_left_to_the_plan():
+    # 79 terms over a 4300-digit denominator reach the cap of a sum times a term, so the plan
+    # sizes the product: refused for a nonzero term, and zero for a zero one
+    big = "9" * MAX_DIGITS
+    total = "(" + "+".join(f"1/{big}*t{i}" for i in range(1, 80)) + ")"
+    assert assert_same_as_the_tree_walk("operator", f"{total}*0*d1")
+    assert parse_operator(f"{total}*0*d1").poly == Poly.zero(158)
+    with pytest.raises(ParseError, match="the product is too large"):
+        parse_operator(f"{total}*2*d1")
 
 
 def test_the_loop_matches_the_tree_walk_on_products_of_a_cycle():
