@@ -30,9 +30,9 @@ the grammar and evaluates as it reads, with an explicit stack of the
 open parentheses, so that no input makes it recurse.  Every text of a
 call is checked before any is evaluated, so that errors come text by
 text, the first text's first: its lexical error, then its syntax
-error, and only then any semantic one.  The scan keeps no offsets;
-only on an error is a text read again by _tokenize, which words a
-lexical error and gives the offset of a syntax error.
+error, and only then any semantic one.  The scan keeps no offsets:
+errors are found on its tokens, and only the token at fault is looked
+up again in the text, for its offset.
 
 One evaluator turns text into a polynomial, an operator or a symbol.
 Its values are the kernel's own Poly, sums of normal-ordered terms
@@ -128,10 +128,6 @@ class ParseError(ValueError):
         return f"parse error at offset {self.offset}: {self.message}"
 
 
-# A token is (kind, text, offset, index): kind is "num", "var", "eof" or the
-# operator character itself, and index is the variable index (0 otherwise).
-Token = tuple[str, str, int, int]
-
 # After optional whitespace, one of: a token, that is an operator, a number
 # of at most MAX_DIGITS digits, or a letter run with the decimal digits after
 # it; else a longer number, any other character, or the end, which findall
@@ -145,30 +141,20 @@ _TOKEN = re.compile(rf"\s*(?:([-+*^/()]|\d{{1,{MAX_DIGITS}}}(?!\d)|[^\W\d_]+\d*)
 _VARIABLE = re.compile(r"([^\W\d_]+)(\d*)")
 
 
-def _tokenize(src: str, prefixes: frozenset[str]) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN.finditer(src):
-        text, offset = m[1], m.start(1) + 1
-        if text is None:  # a longer number, another character, or the end
-            rest = m[0].lstrip()
-            if not rest:
-                break
-            offset = m.end() - len(rest) + 1
-            if rest.isdecimal():
-                raise ParseError(offset, f"number longer than {MAX_DIGITS} digits")
-            raise ParseError(offset, f"unexpected character {rest!r}")
-        if text.isdecimal():
-            append(("num", text, offset, 0))
-        elif text in "-+*^/()":
-            append((text, text, offset, 0))
-        else:
-            word, digits = _VARIABLE.fullmatch(text).groups()
-            if not (word in prefixes and 0 < len(digits) <= MAX_DIGITS and 0 < (index := int(digits)) <= MAX_INDEX):
-                _bad_variable(word, digits, offset, prefixes)
-            append(("var", word, offset, index))
-    append(("eof", "", len(src) + 1, 0))
-    return tokens
+def _offset(src: str, tokens: list[str], i: int) -> int:
+    """The offset of tokens[i], one of src's findall tokens: where it starts, or the end for the last."""
+    if i + 1 == len(tokens):
+        return len(src) + 1
+    m = next(islice(_TOKEN.finditer(src), i, None))  # finditer gives findall's tokens, with offsets
+    return m.end() - len(m[0].lstrip()) + 1
+
+
+def _index(token: str, prefixes: frozenset[str] | set[str] | None = None) -> int:
+    """A variable token's index if that is 1 to MAX_INDEX and its prefix one of prefixes (any if None); else 0."""
+    m = _VARIABLE.fullmatch(token)
+    if m is None or prefixes is not None and m[1] not in prefixes or not 0 < len(m[2]) <= MAX_DIGITS:
+        return 0
+    return index if (index := int(m[2])) <= MAX_INDEX else 0
 
 
 def _bad_variable(word: str, digits: str, offset: int, prefixes: frozenset[str]) -> None:
@@ -211,8 +197,9 @@ def _groups(tokens: list[str]) -> dict[int, tuple[int, int]]:
     signs whose factor is not read yet; negs, those of the innermost
     open parenthesis.  On text that is not well formed it raises a
     ParseError whose offset is the index of the token at fault, which
-    _checked turns into a byte offset.  The evaluation needs to know at
-    '(' what the group holds, and that the syntax is right.
+    _checked turns into its offset in the text (_offset).  The
+    evaluation needs to know at '(' what the group holds, and that the
+    syntax is right.
     """
     groups: dict[int, tuple[int, int]] = {}
     stack: list[list[int]] = []  # per open '(': its index, what it holds, the minus signs before it
@@ -278,34 +265,48 @@ def _positive(tokens: list[str], i: int, expected: str, too_small: str) -> int:
     return value
 
 
-def _checked(src: str, prefixes: frozenset[str], found: list[str]) -> list[Token]:
-    """src's tokens, by _tokenize, and found (its findall tokens) checked by _groups.
+def _checked(src: str, tokens: list[str], prefixes: frozenset[str] | set[str]) -> list[str]:
+    """tokens, src's findall tokens, if src is well formed; else its first lexical error, or failing that its syntax error.
 
-    _tokenize raises src's lexical error, if any, first; a syntax error
-    gets the byte offset of the token at fault.
+    A lexical error is a "" before the end, that is a longer number or
+    any other character, or a letter run with digits that is not a
+    variable of one of the prefixes with an index 1 to MAX_INDEX, which
+    _bad_variable words.  A syntax error is _groups'.  Each gets the
+    offset of its token.
     """
-    tokens = _tokenize(src, prefixes)
+    bad = {token for token in set(tokens) if not (token.isdecimal() or token and token in "-+*^/()" or _index(token, prefixes))}
+    i = next(i for i, token in enumerate(tokens) if token in bad)  # the end, "", if no token before it
+    if i + 1 < len(tokens):
+        offset = _offset(src, tokens, i)
+        if tokens[i]:
+            _bad_variable(*_VARIABLE.fullmatch(tokens[i]).groups(), offset, prefixes)
+        if src[offset - 1].isdecimal():  # "" at a longer number, else at another character
+            raise ParseError(offset, f"number longer than {MAX_DIGITS} digits")
+        raise ParseError(offset, f"unexpected character {src[offset - 1]!r}")
     try:
-        _groups(found)
+        _groups(tokens)
     except ParseError as exc:
-        raise ParseError(tokens[exc.offset][2], exc.message) from None
+        raise ParseError(_offset(src, tokens, exc.offset), exc.message) from None
     return tokens
 
 
-def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> list[Token]:
-    """src's tokens (kind, text, offset, index), or its lexical or syntax error, as the parse_* functions word it.
+def parse_ast(src: str, prefixes: frozenset[str] | set[str]) -> list[str]:
+    """src's tokens (_TOKEN.findall), or its lexical or syntax error, as the parse_* functions word it.
 
-    It builds no tree.  It and max_index remain only for the callers
-    that take a text's arity from max_index(parse_ast(...)), the CLI
-    oracles of perfbench/workloads.py and tests/test_cli_fuzz.py, until
-    ROADMAP item 5 moves the benchmark's oracle off them.
+    It builds no tree.  It and max_index stay public because the
+    benchmark's CLI oracle (perfbench/workloads.py) takes a text's arity
+    from max_index(parse_ast(...)), with no evaluation; both are the
+    code that every parse runs, not code of their own.
     """
-    return _checked(src, frozenset(prefixes), _TOKEN.findall(src.rstrip()))
+    return _checked(src, _TOKEN.findall(src.rstrip()), prefixes)
 
 
-def max_index(tokens: list[Token], prefixes: frozenset[str] | set[str] | None = None) -> int:
-    """The largest index of a "var" token (of one of the prefixes, if given); 0 if none.  See parse_ast."""
-    return max((index for kind, word, _, index in tokens if kind == "var" and (prefixes is None or word in prefixes)), default=0)
+def max_index(tokens: list[str]) -> int:
+    """The largest index, 1 to MAX_INDEX, of a variable among the tokens (_TOKEN.findall); 0 if none.
+
+    _first_pass infers n with it, and parse_ast's callers a text's arity.
+    """
+    return max(map(_index, set(tokens)))
 
 
 # An upper bound on a value that is not computed yet: at most terms terms,
@@ -421,7 +422,7 @@ class _Evaluator:
                     if k != 1:
                         self.raised(self.shape(_term([0] * width, x)), k)
                         x **= k
-                    c = x if c == 1 else -x if c == -1 else c * x
+                    c = x if c == 1 else -x if c == -1 else _product(c, x)
                 elif kind == _GROUP:
                     if c != 1 or any(exps):
                         factors.append(_term(exps, c))
@@ -455,16 +456,16 @@ class _Evaluator:
     def slot(self, src: str, tokens: list[str], pos: int) -> int:
         """The slot of the variable at tokens[pos] where the slot table has none, as for t01; else an error.
 
-        The error is that the index is above n.  A variable that is not
-        well formed gets it too, but then src has a lexical error, which
-        _first_pass finds and raises instead.
+        The error is that the index is above n, at the token's offset
+        in src (_offset).  A variable that is not well formed gets it
+        too, but then src has a lexical error, which _first_pass finds
+        and raises instead.
         """
         word, digits = _VARIABLE.fullmatch(tokens[pos]).groups()
         index = int(digits) if 0 < len(digits) <= MAX_DIGITS else 0
         if word in self.prefixes and 0 < index <= self.n:
             return self.slots[f"{word}{index}"]
-        offset = next(islice(_TOKEN.finditer(src), pos, None)).start(1) + 1
-        raise ParseError(offset, f"variable index {index} exceeds the {self.n} available variables")
+        raise ParseError(_offset(src, tokens, pos), f"variable index {index} exceeds the {self.n} available variables")
 
     def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
         """The sum of the Polys and the terms (exponents, coefficient)."""
@@ -664,6 +665,16 @@ def _power(base: int, k: int, what: str) -> int:
     return base**k
 
 
+def _product(c: int | Fraction, x: int | Fraction) -> int | Fraction:
+    """c * x, two numbers of one chain; refused as the product if their bits, numerators' and denominators', pass the budget.
+
+    That is fit's rule for a product of two one-term shapes.
+    """
+    if sum(v.numerator.bit_length() + v.denominator.bit_length() for v in (c, x)) > MAX_POWER_BITS:
+        raise _too_large("the product")
+    return c * x
+
+
 def _too_large(what: str) -> ParseError:
     bound = f"its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
     return ParseError(None, f"{what} is too large to expand: {bound}")
@@ -683,16 +694,16 @@ def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tup
 
     _groups checks the syntax of every text before any is planned.
     Errors come text by text, the first text's first: its lexical
-    error, then its syntax error, and only then any semantic one.
-    findall keeps no offsets, so on any error _checked reads each text
-    again, by _tokenize, and the semantic error stands only if none of
-    them fails.
+    error, then its syntax error, and only then any semantic one.  A
+    text with a lexical error fails in _groups or in the plan, so on
+    any error _checked looks for one in each text, and the semantic
+    error stands only if none of them fails.  An inferred n is the
+    largest index in any text; it matters only where all of them are
+    well formed.
     """
     tokens = [_TOKEN.findall(src.rstrip()) for src, _, _ in texts]
     if n is None:
-        # the largest index among the well-formed variables: all of them, in texts that parse
-        indices = (int(digits) for src, _, _ in texts for _, digits in _VARIABLE.findall(src) if 0 < len(digits) <= MAX_DIGITS)
-        n = max((index for index in indices if 0 < index <= MAX_INDEX), default=1)
+        n = max(1, *map(max_index, tokens))
     else:
         check_variable_count(n)
     evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
@@ -701,7 +712,7 @@ def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tup
         return [(ev, ev.plan(src, each, found)) for ev, (src, _, _), each, found in zip(evaluators, texts, tokens, groups)]
     except ParseError:
         for ev, (src, _, _), each in zip(evaluators, texts, tokens):
-            _checked(src, ev.prefixes, each)
+            _checked(src, each, ev.prefixes)
         raise
 
 

@@ -24,7 +24,6 @@ from weylcalc.parser import (
     _Evaluator,
     _Plan,
     _term,
-    _tokenize,
     check_variable_count,
     max_index,
     parse_action,
@@ -466,7 +465,7 @@ def test_parse_jet_map_vars_override():
         parse_jet_map("1,0 -> t1", 1, n=3)
 
 
-# -- the tokenizer against the character loop it replaced -------------------
+# -- the lexer against the character loop it replaced ------------------------
 
 
 def reference_tokenize(src, prefixes):
@@ -531,10 +530,14 @@ def unreadable_digit(src):
     """Offset of the first digit character int() cannot read, such as '²'; None if there is none.
 
     The former loop read these as digits, so the parser either crashed
-    on them or reported some later error first; the tokenizer now stops
-    at them.  Without them the former loop never crashed.
+    on them or reported some later error first; the lexer now stops at
+    them.  Without them the former loop never crashed.
     """
     return next((i + 1 for i, ch in enumerate(src) if ch.isdigit() and not ch.isdecimal()), None)
+
+
+# The words of the lexical errors, as reference_tokenize and _bad_variable give them.
+LEXICAL = re.compile(r"unexpected character|number longer than|unknown variable|needs a numeric index|variable index")
 
 
 # ASCII and non-ASCII letters, decimal digits of two scripts, superscripts,
@@ -544,21 +547,27 @@ PREFIX_SETS = [frozenset({"t", "d"}), frozenset({"t"}), frozenset({"t", "x"})]
 
 
 def test_tokenizer_matches_the_character_loop_on_random_strings():
+    # a lexical error comes before any syntax error, so parse_ast raises the loop's error where
+    # the loop fails, and none with a lexical error's words where it does not
     rng = random.Random(20240518)
-    compared = stopped = 0
+    compared = lexical = stopped = 0
     for _ in range(4000):
         src = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 12)))
         prefixes = rng.choice(PREFIX_SETS)
         bad = unreadable_digit(src)
+        got = outcome(parse_ast, src, prefixes)
         if bad is None:
             compared += 1
-            assert outcome(_tokenize, src, prefixes) == outcome(reference_tokenize, src, prefixes), src
+            want = outcome(reference_tokenize, src, prefixes)
+            if type(want) is tuple:
+                lexical += 1
+                assert got == want, src
+            else:
+                assert type(got) is list or not LEXICAL.match(got[2]), src
         else:
             stopped += 1
-            with pytest.raises(ParseError) as err:
-                _tokenize(src, prefixes)
-            assert err.value.offset <= bad, src
-    assert compared > 2000 and stopped > 500
+            assert type(got) is tuple and got[1] <= bad, src
+    assert compared > 2000 and lexical > 500 and stopped > 500
 
 
 # -- the evaluator against references that compose or multiply every node ----
@@ -751,8 +760,15 @@ class ReferenceParser:
             raise ParseError(tok[2], f"parentheses and unary minus nest deeper than {MAX_NESTING} levels")
 
 
+class Unreadable(ParseError):
+    """reference_parse's verdict on a text with a digit int() cannot read: the parser must fail at it or before."""
+
+
 def reference_parse(src, prefixes):
-    return ReferenceParser(_tokenize(src, frozenset(prefixes))).parse()
+    """The tree of src, by the former character loop and recursive descent; Unreadable where the loop misreads src."""
+    if (bad := unreadable_digit(src)) is not None:
+        raise Unreadable(bad, "a digit that int() cannot read")
+    return ReferenceParser(reference_tokenize(src, prefixes)).parse()
 
 
 def reference_max_index(node):
@@ -767,13 +783,28 @@ def reference_max_index(node):
     return best
 
 
+# What a text is parsed as, by its set of prefixes (a key of TEXTS).
+KIND = {frozenset({"t", "d"}): "operator", frozenset({"t"}): "poly", frozenset({"t", "x"}): "symbol"}
+
+
 def assert_same_parse(src, prefixes):
-    """parse_ast accepts what reference_parse accepts, with its largest index, or both fail at one offset with one message."""
-    got, want = outcome(parse_ast, src, prefixes), outcome(reference_parse, src, prefixes)
+    """parse_ast accepts what reference_parse accepts, with its largest index, or both fail at one offset with one message.
+
+    An accepted text's inferred n is that index, at least 1.  Where
+    reference_parse finds a digit int() cannot read, parse_ast must
+    fail at it or before.
+    """
+    got = outcome(parse_ast, src, prefixes)
+    if (bad := unreadable_digit(src)) is not None:
+        assert type(got) is tuple and got[1] <= bad, src
+        return False
+    want = outcome(reference_parse, src, prefixes)
     if type(want) is tuple:
         assert got == want, src
         return False
     assert type(got) is list and max_index(got) == reference_max_index(want), src
+    [(evaluator, _)] = parser._first_pass(None, *TEXTS[KIND[frozenset(prefixes)]](src))
+    assert evaluator.n == max(1, reference_max_index(want)), src
     return True
 
 
@@ -851,7 +882,6 @@ def test_long_operator_round_trips():
 def test_max_index_walks_a_long_sum():
     tokens = parse_ast(" + ".join(f"t{j % 7 + 1}*d2" for j in range(5000)), {"t", "d"})
     assert max_index(tokens) == 7
-    assert max_index(tokens, {"d"}) == 2
 
 
 @pytest.mark.parametrize(
@@ -1028,6 +1058,15 @@ def test_accepted_inputs_keep_their_values(source, digest):
     assert hashlib.sha256(str(evaluate(*source)).encode()).hexdigest() == digest
 
 
+def test_a_number_chain_is_sized_as_one_term():
+    # the sixth factor of 3^100000 meets 3^500000 in 950,981 bits of numerators and
+    # denominators, within the budget; a seventh is refused (REFUSED), as a product of
+    # one-term shapes
+    src = "*".join(["3^100000"] * 6) + "*t1"
+    assert assert_same_as_the_tree_walk("operator", src, values=False)
+    assert parse_operator(src).poly == Poly.monomial(2, (1, 0), 3**600000)
+
+
 def test_a_power_and_its_product_chain_get_one_verdict():
     # the power ^k is the k-fold product under the same rule, so both run
     assert parse_operator(f"{B30}^2") == parse_operator(f"{B30}*{B30}")
@@ -1064,6 +1103,8 @@ REFUSED = [
     # 79 terms times a 4300-digit number: over the cap, 74 terms, of a sum times a number and an atom
     pytest.param(("operator", "(" + "+".join(f"t{i}" for i in range(1, 80)) + ")*" + "9" * MAX_DIGITS + "*d1"),
                  "the product is too large", id="(t1+...+t79)*nines*d1"),
+    # a chain of numbers is one term: 7 * 158,497 bits of 3^100000 are over the budget
+    pytest.param(("operator", "*".join(["3^100000"] * 7) + "*t1"), "the product is too large", id="3^100000 x7 *t1"),
 ]
 
 
@@ -1144,6 +1185,11 @@ def reference_product(evaluator, node, c):
             if k != 1:
                 evaluator.raised(evaluator.shape(_term([0] * width, value)), k)
                 value **= k
+            if c != 1 and c != -1:  # a second number of the chain: the product of two one-term shapes
+                bits = sum(v.numerator.bit_length() + v.denominator.bit_length() for v in (c, value))
+                if bits > MAX_POWER_BITS:
+                    raise ParseError(None, f"the product is too large to expand: its estimated terms times coefficient "
+                                           f"bits exceed {MAX_POWER_BITS}")
             c = value if c == 1 else -value if c == -1 else c * value
             continue
         if cls is Var:
@@ -1222,16 +1268,24 @@ def assert_same_as_the_tree_walk(kind, *sources, n=None, values=True):
     values=False compares the plans alone, for inputs whose values are
     costly; the second pass that computes a plan is shared code.  A jet
     table has no text of its own to plan, so only its value is compared.
-    Returns whether the texts were planned without an error.
+    Where the tree walk stops at a digit int() cannot read (Unreadable),
+    the loop must raise a ParseError at it or before.  Returns whether
+    the texts were planned without an error.
     """
+    def same(got, want):
+        if type(want) is tuple and want[0] is Unreadable:
+            assert got[0] is ParseError and got[1] <= want[1], (kind, sources)
+        else:
+            assert got == want, (kind, sources)
+
     planned = True
     if kind in TEXTS:
         plans = [result(lambda f: [(e.n, plan) for e, plan in f(n, *TEXTS[kind](*sources))], f)
                  for f in (parser._first_pass, reference_first_pass)]
-        assert plans[0] == plans[1], (kind, sources)
+        same(*plans)
         planned = type(plans[1]) is list
     if values:
-        assert result(ENTRY[kind], *sources, n=n) == result(reference_evaluate, kind, *sources, n=n), (kind, sources)
+        same(result(ENTRY[kind], *sources, n=n), result(reference_evaluate, kind, *sources, n=n))
     return planned
 
 
@@ -1311,10 +1365,11 @@ def test_the_loop_matches_the_tree_walk_on_products_of_a_cycle():
 
 
 def test_an_accepted_input_makes_no_parse_ast_call(monkeypatch):
-    # the scan keeps no offsets: a text is tokenized again only on an error, and a syntax
-    # error in any text of a call is found before any text is planned
+    # the scan keeps no offsets: a text's tokens are checked for a lexical error, and one is
+    # looked up again in the text for its offset, only on an error; a syntax error in any
+    # text of a call is found before any text is planned
     calls = []
-    for owner, name in [(parser, "parse_ast"), (parser, "_tokenize"), (_Evaluator, "plan")]:
+    for owner, name in [(parser, "parse_ast"), (parser, "_checked"), (parser, "_offset"), (_Evaluator, "plan")]:
         def counted(*args, name=name, inner=getattr(owner, name)):
             calls.append(name)
             return inner(*args)
@@ -1332,11 +1387,11 @@ def test_an_accepted_input_makes_no_parse_ast_call(monkeypatch):
         parse_commutator("d1^2", "t1 +")
     with pytest.raises(ParseError, match="expected a positive integer exponent"):
         parse_action("t1^", "t1^2")
-    assert calls == ["_tokenize"] * 3
+    assert calls == ["_checked", "_checked", "_offset", "_checked", "_offset"]
     calls.clear()
     with pytest.raises(ParseError, match="exceeds the 1 available variables"):
         parse_operator("t2", 1)
-    assert calls[0] == "plan" and "_tokenize" in calls
+    assert calls == ["plan", "_offset", "_checked"]
 
 
 @pytest.mark.parametrize("n,message", [(0, "need at least one variable, got 0"),
