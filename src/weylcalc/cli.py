@@ -2,15 +2,16 @@
 
 Exit codes: 0 on success, 1 when a law check finds failures, 2 on
 usage, parse, or input errors.  Diagnostics go to stderr; results go
-to stdout.  Every input error is a ValueError (ParseError is one), and
-main alone turns it into its one-line diagnostic.
+to stdout.  Every input error is a ValueError (ParseError is one), as
+are an unreadable jet table file and a result with a number too long
+to print (poly.render_numerators), and main alone turns it into its
+one-line diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 
 from .grothendieck import grothendieck_order, split_order_one
 from .parser import (
@@ -31,31 +32,22 @@ def _fmt_order(order: int | None) -> str:
     return "-inf" if order is None else str(order)
 
 
-def _print(text: Callable[[], str]) -> int:
-    """Print text(); a number too long for str() ends in one error line, not a traceback."""
-    try:
-        out = text()
-    except ValueError:  # the interpreter's limit on int to str conversion
-        limit = sys.get_int_max_str_digits()
-        print(f"error: the result has a number longer than {limit} digits, too long to print", file=sys.stderr)
-        return 2
-    print(out)
-    return 0
-
-
 def _cmd_normalize(args: argparse.Namespace) -> int:
     D = parse_operator(args.expr, args.vars)
-    return _print(lambda: str(D))
+    print(D)
+    return 0
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     q = parse_action(args.expr, args.poly, n=args.vars)
-    return _print(lambda: str(q))
+    print(q)
+    return 0
 
 
 def _cmd_comm(args: argparse.Namespace) -> int:
     C = parse_commutator(args.left, args.right, n=args.vars)
-    return _print(lambda: str(C))
+    print(C)
+    return 0
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
@@ -70,17 +62,20 @@ def _cmd_gorder(args: argparse.Namespace) -> int:
 
 def _cmd_symbol(args: argparse.Namespace) -> int:
     s = principal_symbol(parse_operator(args.expr, args.vars), args.grade)
-    return _print(lambda: s.render(args.xi_prefix))
+    print(s.render(args.xi_prefix))
+    return 0
 
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     D = quantize(parse_symbol(args.expr, n=args.vars, xi_prefix=args.xi_prefix))
-    return _print(lambda: str(D))
+    print(D)
+    return 0
 
 
 def _cmd_split1(args: argparse.Namespace) -> int:
     X, a = split_order_one(parse_operator(args.expr, args.vars))
-    return _print(lambda: f"X = {X}\na = {a}")
+    print(f"X = {X}\na = {a}")
+    return 0
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -88,10 +83,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         with open(args.map, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"error: cannot read {args.map}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.map}: {exc.strerror}") from None
     D = from_jet_map(parse_jet_map(text, args.degree, n=args.vars))
-    return _print(lambda: str(D))
+    print(D)
+    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -101,8 +96,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .laws import ACCEPTANCE_CONFIG, GenConfig, run_all, run_law
 
     if args.ci and args.seed is None:
-        print("error: --ci requires an explicit --seed", file=sys.stderr)
-        return 2
+        raise ValueError("--ci requires an explicit --seed")
     base = ACCEPTANCE_CONFIG if args.ci else GenConfig()
     overrides = {}
     if args.n is not None:

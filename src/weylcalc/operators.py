@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import islice, product
 from operator import add, ge, le, sub
 
-from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, format_power_product, render_numerators
+from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, _sum, format_power_product, render_numerators
 
 # Composition looks binomial coefficients up through this module-level name
 # so tests can substitute a broken one and watch the oracle law catch it.
@@ -74,7 +74,7 @@ class _NormalForm:
             raise ValueError(f"need at least one variable, got n={n}")
         if grade is not None and grade < 0:
             raise ValueError(f"grade must be nonnegative, got {grade}")
-        pairs = []
+        parts = []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for J, f in items:
             ix = J if isinstance(J, MultiIndex) else MultiIndex(J)
@@ -86,9 +86,10 @@ class _NormalForm:
                 f = Poly.const(n, f)
             if f.n != n:
                 raise ValueError(f"{self._noun} in {n} variables with a coefficient in {f.n}")
-            pairs.append((ix, f))
+            # a list, not a generator, so that each part is keyed by its own word
+            parts.append(([((*M, *ix), c) for M, c in f._num.items()], f._den))
         self.n = n
-        self.poly = _words_poly(n, pairs)
+        self.poly = _sum(2 * n, parts)
         self._grade = grade
 
     @classmethod
@@ -175,25 +176,6 @@ class _NormalForm:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _words_poly(n: int, pairs: Iterable[tuple[Sequence[int], Poly]]) -> Poly:
-    """The Poly in 2n variables of the terms f_J * y^J, unchecked.
-
-    Each J is n nonnegative ints and each f_J a Poly in n.  Every
-    coefficient goes over the lcm of their denominators and is added
-    per (t, y) exponent, so repeated words are summed.
-    """
-    pairs = list(pairs)
-    den = math.lcm(*(f._den for _, f in pairs))
-    acc: dict[tuple, int] = {}
-    get = acc.get
-    for J, f in pairs:
-        scale = den // f._den
-        for M, c in f._num.items():
-            key = (*M, *J)
-            acc[key] = get(key, 0) + c * scale
-    return Poly._make(2 * n, {key: c for key, c in acc.items() if c}, den)
 
 
 def _reach(keys: Iterable[Sequence[int]]) -> list[int]:

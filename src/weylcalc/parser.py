@@ -21,7 +21,9 @@ go up to MAX_EXPONENT.  Every product and power in an expression, and
 the two products of parse_commutator and the action of parse_action,
 is sized by one rule before any of it is computed, and refused if its
 terms times coefficient bits could be over MAX_POWER_BITS.  A jet
-table's basis holds at most MAX_JET_BASIS monomials.
+table's basis holds at most MAX_JET_BASIS monomials, and the operator
+that from_jet_map would build from it is sized by the same rule
+(_size_table).
 
 Text becomes a value with no tree in between: one regular-expression
 scan into tokens (_TOKEN.findall), one loop over them that checks the
@@ -41,8 +43,8 @@ the xi prefix), in n for a polynomial, which has no y.  A product chain
 folds left to right into one term: a number multiplies c, and an atom
 t_i^k or y_i^k adds k to its exponent, except that an operator's t_i
 after a d_i starts the next factor.  A chain of atoms alone stays that
-one term, (exponents, coefficient), and the sum adds it into its
-integer dict over the lcm of all denominators, with no one-term Poly.
+one term, (exponents, coefficient), which the sum hands to the
+kernel's adder (poly._sum) as it is, with no one-term Poly.
 Parentheses count as the grammar nests them: a group that is a whole term
 adds its terms to the enclosing sum, a group of one chain goes on with
 the chain around it, and only a sum that is a factor, or a group other
@@ -85,14 +87,14 @@ from __future__ import annotations
 import re
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, itemgetter, le, mul, sub
 
 from .jets import JetMap
 from .operators import DiffOp, commutator
-from .poly import MultiIndex, Poly
+from .poly import MultiIndex, Poly, _sum
 from .symbols import SymbolElem
 
 # How deep parentheses and unary minus may nest, a limit the error messages
@@ -468,21 +470,10 @@ class _Evaluator:
         raise ParseError(_offset(src, tokens, pos), f"variable index {index} exceeds the {self.n} available variables")
 
     def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
-        """The sum of the Polys and the terms (exponents, coefficient)."""
+        """The sum of the Polys and the terms (exponents, coefficient), all at once by the kernel's adder."""
         if not terms and len(polys) == 1:
             return polys[0]
-        # all parts at once over one denominator: pairwise + would be quadratic in long sums
-        den = lcm(*(part._den for part in polys), *(c.denominator for _, c in terms))
-        acc: dict[tuple, int] = {}
-        get = acc.get
-        for part in polys:
-            scale = den // part._den
-            for key, c in part._num.items():
-                acc[key] = get(key, 0) + c * scale
-        for exps, c in terms:
-            key = tuple(exps)
-            acc[key] = get(key, 0) + c.numerator * (den // c.denominator)
-        return Poly._make(self.width, {key: c for key, c in acc.items() if c}, den)
+        return _sum(self.width, [(part._num.items(), part._den) for part in polys], terms)
 
     def product(self, factors: list, exps: list[int], c: int | Fraction) -> Poly | _Plan:
         """A chain's factors times its pending term c * t^a * y^b: a value where they multiply out, else a plan.
@@ -779,7 +770,8 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
     Each index entry is decimal digits.  Blank lines are skipped; absent
     monomials default to the zero value; duplicate lines for one
     monomial are an error.  The number of variables is the number of
-    index entries unless n is given.
+    index entries unless n is given.  A table whose operator could be
+    over the budget is refused as the table (_size_table).
     """
     if n is not None:
         check_variable_count(n)
@@ -835,4 +827,28 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
         except ParseError as exc:
             where = f" at offset {exc.offset} in the value" if exc.offset is not None else ""
             raise ParseError(None, f"line {lineno}{where}: {exc.message}") from None
+    _size_table(values, n, degree)
     return JetMap(n, degree, values)
+
+
+def _size_table(values: dict[MultiIndex, Poly], n: int, k: int) -> None:
+    """Refuse as the table a jet table whose operator, from_jet_map's, could be over the budget.
+
+    from_jet_map adds each A(t^K), times (k!/J!) * binom(J, K), into
+    every word J >= K of degree at most k, C(n + k - |K|, n) of them,
+    over den * k!, den the lcm of the values' denominators.  The
+    binom(J, K) add up to 2^|J|, so a numerator is below 2^k * k! * den
+    times the largest value coefficient, which is below 2^top.  That
+    bounds the terms, and each term's coefficient bits by top + k +
+    2 * (bits of k! + bits of den), and so the bits den may have
+    (room).  The bits of den are at least those of the largest
+    denominator and at most the sum of those of the distinct ones: the
+    lcm is taken, one denominator at a time from the largest, only
+    where the sum is over the room.
+    """
+    terms = sum(len(p._num) * comb(n + k - sum(K), n) for K, p in values.items())
+    top = max((max(map(abs, p._num.values())).bit_length() - p._den.bit_length() + 1 for p in values.values() if p), default=0)
+    room = (MAX_POWER_BITS // max(terms, 1) - top - k) // 2 - factorial(k).bit_length()
+    dens = sorted({p._den for p in values.values() if p}, reverse=True)
+    if sum(d.bit_length() for d in dens) > room and any(den.bit_length() > room for den in accumulate(dens, lcm)):
+        raise _too_large("the table")

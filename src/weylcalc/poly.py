@@ -11,10 +11,14 @@ check their input with and every view (terms, leading,
 monomials_up_to, subindices) returns.  Arithmetic is integer work
 followed by one gcd reduction, and Fraction appears only at the API
 boundary: constructors take int or Fraction coefficients and Poly.terms
-shows them as Fractions.  Printing reads the numerators too
-(render_numerators), one gcd per coefficient, and evaluate sums
-integers over one common denominator, making a single Fraction at the
-end.
+shows them as Fractions.  _sum is the one adder, the one place where
+numerators meet over an lcm: Poly sums, the validating constructors
+(of Poly here, of operators and symbols in weylcalc.operators) and the
+parser's sums all go through it; only jets.from_jet_map, a weighted
+and shifted sum, keeps a loop of its own.  Printing reads the
+numerators too (render_numerators), one gcd per coefficient, and
+evaluate sums integers over one common denominator, making a single
+Fraction at the end.
 Because the representation is canonical, equality of polynomials is
 equality of the stored data.
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import product
@@ -149,18 +154,15 @@ class Poly:
     def __init__(self, n: int, terms: Mapping[Sequence[int], Scalar] | Iterable = ()):
         if n < 1:
             raise ValueError(f"need at least one variable, got n={n}")
-        canon: dict[tuple, Scalar] = {}
+        checked = []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for I, c in items:
             ix = I if isinstance(I, MultiIndex) else MultiIndex(I)
             if len(ix) != n:
                 raise ValueError(f"multi-index {tuple(ix)} has length {len(ix)}, expected {n}")
-            c = _coefficient(c)
-            if c:
-                key = tuple(ix)
-                canon[key] = canon.get(key, 0) + c
-        self.n = n
-        self._num, self._den = _integer_form(canon)
+            checked.append((ix, _coefficient(c)))
+        out = _sum(n, (), checked)
+        self.n, self._num, self._den = n, out._num, out._den
 
     @classmethod
     def _make(cls, n: int, num: dict[tuple, int], den: int) -> "Poly":
@@ -220,7 +222,8 @@ class Poly:
         return hash((self.n, self._den, frozenset(self._num.items())))
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        return self._combine(self._coerce(other), 1)
+        other = self._coerce(other)
+        return _sum(self.n, [(self._num.items(), self._den), (other._num.items(), other._den)])
 
     __radd__ = __add__
 
@@ -228,26 +231,11 @@ class Poly:
         return Poly._make(self.n, {I: -c for I, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self._combine(self._coerce(other), -1)
+        other = self._coerce(other)
+        return _sum(self.n, [(self._num.items(), self._den), (other._num.items(), -other._den)])
 
     def __rsub__(self, other: Scalar) -> "Poly":
         return self._coerce(other) - self
-
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other, over the lcm of the two denominators."""
-        da, db = self._den, other._den
-        g = math.gcd(da, db)
-        sa, sb = db // g, da // g
-        merged = dict(self._num) if sa == 1 else {I: c * sa for I, c in self._num.items()}
-        sb *= sign
-        get = merged.get
-        for I, c in other._num.items():
-            v = get(I, 0) + c * sb
-            if v:
-                merged[I] = v
-            else:
-                del merged[I]
-        return Poly._make(self.n, merged, da * sa)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -342,14 +330,38 @@ class Poly:
         return f"Poly({self.n}: {self})"
 
 
-def _integer_form(terms: Mapping[tuple, Scalar]) -> tuple[dict[tuple, int], int]:
-    """(numerators, denominator) of an int or Fraction term dict, zeros dropped, canonical.
+def _sum(n: int, parts: Sequence[tuple[Iterable[tuple[tuple, int]], int]], terms: Sequence[tuple[Sequence[int], Scalar]] = ()) -> Poly:
+    """The Poly in n variables of the parts and the terms, added over the lcm of their denominators.
 
-    Over the lcm of the reduced denominators, the numerators share no
-    factor with it, so no gcd reduction is needed.
+    The one adder of the integer form: every part goes over the lcm,
+    numerators are added by key, zeros are dropped, and the sum is
+    reduced once.  A part is (pairs, den), pairs of distinct length-n
+    plain tuple keys and int numerators over den, such as a Poly's;
+    a part over -den is subtracted.  A term is (exponents, int or
+    Fraction coefficient), the exponents n nonnegative ints, stored as
+    a plain tuple.  Keys may repeat across parts and terms, and are
+    summed.
     """
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {I: c.numerator * (den // c.denominator) for I, c in terms.items() if c}, den
+    den = math.lcm(*[d for _, d in parts], *[c.denominator for _, c in terms])
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for pairs, d in parts:
+        scale = den // d
+        if not acc:  # nothing to add to yet, and the part's keys are distinct
+            acc.update(pairs if scale == 1 else [(key, c * scale) for key, c in pairs])
+            continue
+        for key, c in pairs:
+            if v := get(key, 0) + c * scale:
+                acc[key] = v
+            else:  # cancelled: the key was there, as no numerator is 0
+                del acc[key]
+    for key, c in terms:
+        key = tuple(key)
+        if v := get(key, 0) + c.numerator * (den // c.denominator):
+            acc[key] = v
+        else:  # cancelled, or a zero coefficient
+            acc.pop(key, None)
+    return Poly._make(n, acc, den)
 
 
 def render_numerators(pairs: Iterable[tuple[Sequence[int], int]], den: int, prefix: str, monos: dict) -> str:
@@ -359,7 +371,9 @@ def render_numerators(pairs: Iterable[tuple[Sequence[int], int]], den: int, pref
     by its own gcd with den.  Examples: '3*t1^2*t2 - 1/2*t2 + 4', '-t1';
     no pairs give '0'.  monos maps each I already formatted to its text
     and gains the others: a caller that prints many coefficients passes
-    one dict to them all, so that each monomial is formatted once.
+    one dict to them all, so that each monomial is formatted once.  A
+    coefficient too long for str() is a ValueError in the words the CLI
+    prints for it.
     """
     out = ""
     gcd = math.gcd
@@ -369,7 +383,11 @@ def render_numerators(pairs: Iterable[tuple[Sequence[int], int]], den: int, pref
         mono = monos.get(I)
         if mono is None:
             mono = monos[I] = format_power_product(I, prefix)
-        mag = str(p) if q == 1 else f"{p}/{q}"
+        try:
+            mag = str(p) if q == 1 else f"{p}/{q}"
+        except ValueError:  # the interpreter's limit on int to str conversion
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"the result has a number longer than {limit} digits, too long to print") from None
         if not mono:
             body = mag
         elif p == 1 == q:

@@ -196,6 +196,29 @@ GOLDEN_CASES = [
         code=2,
         err="error: the result has a number longer than 4300 digits, too long to print\n",
     ),
+    *(
+        dict(id=f"{args[0]} 2^15000", args=args, out="", code=2,
+             err="error: the result has a number longer than 4300 digits, too long to print\n")
+        for args in (["symbol", "2^15000*d1"], ["split1", "2^15000*d1"], ["comm", "2^15000*d1", "t1"],
+                     ["apply", "2^15000*d1", "t1"])
+    ),
+    dict(
+        id="construct 2^15000",
+        args=["construct", "--map", "{MAP}", "--degree", "0", "--vars", "1"],
+        map_text="0 -> 2^15000\n",
+        out="",
+        code=2,
+        err="error: the result has a number longer than 4300 digits, too long to print\n",
+    ),
+    # map_text None: there is no file at {MAP}
+    dict(
+        id="construct missing file",
+        args=["construct", "--map", "{MAP}", "--degree", "1"],
+        map_text=None,
+        out="",
+        code=2,
+        err="error: cannot read {MAP}: No such file or directory\n",
+    ),
     dict(
         id="normalize 5000-digit literal",
         args=["normalize", "7" * 5000 + "*t1"],
@@ -326,11 +349,15 @@ GOLDEN_CASES = [
 
 
 def run_case(case, tmp_path):
-    argv = list(case["args"])
+    argv, err = list(case["args"]), case.get("err")
     if "map_text" in case:
         path = tmp_path / "table.jets"
-        path.write_text(case["map_text"], encoding="utf-8")
+        if case["map_text"] is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(case["map_text"], encoding="utf-8")
         argv = [a.replace("{MAP}", str(path)) for a in argv]
+        err = err and err.replace("{MAP}", str(path))
     proc = subprocess.run(
         [sys.executable, "-m", "weylcalc", *argv],
         capture_output=True,
@@ -338,8 +365,8 @@ def run_case(case, tmp_path):
     )
     assert proc.stdout == case["out"], f"{argv}: stdout {proc.stdout!r}"
     assert proc.returncode == case.get("code", 0), f"{argv}: exit {proc.returncode}"
-    if "err" in case:
-        assert proc.stderr == case["err"], f"{argv}: stderr {proc.stderr!r}"
+    if err is not None:
+        assert proc.stderr == err, f"{argv}: stderr {proc.stderr!r}"
     elif "err_prefix" in case:
         assert proc.stderr.startswith(case["err_prefix"]), f"{argv}: stderr {proc.stderr!r}"
     else:

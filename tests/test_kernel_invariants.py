@@ -154,6 +154,59 @@ def test_mixed_denominators_cancel_to_the_canonical_zero():
     for zero in (p - p, p * 0, p + (-p), (p + q) - (p + q)):
         assert_canonical_poly(zero, 2)
         assert zero._den == 1 and not zero._num and zero == Poly.zero(2)
+    A, B = DiffOp(2, {(1, 0): p, (0, 1): q}), DiffOp(2, {(1, 0): q, (0, 1): -q})
+    assert_canonical_diffop(A + B, 2)
+    assert (A + B).poly._den == 1 and (A + B).terms == {(1, 0): Poly(2, {(0, 1): 1})}
+    for zero in (A - A, A + (-A), (A + B) - (A + B), (A - B) - (A + (-B))):
+        assert_canonical_diffop(zero, 2)
+        assert zero.poly._den == 1 and not zero.poly._num and zero == DiffOp.zero(2)
+
+
+def mixed_coeffs():
+    """Ints, and Fractions over mixed and coprime denominators, small and large."""
+    dens = st.sampled_from([1, 2, 3, 4, 6, 7, 35, 2**70, 3**40])
+    return st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), dens))
+
+
+@st.composite
+def word_pairs(draw, n, words):
+    """(J, f) pairs whose words repeat, each f a Poly over mixed denominators or a bare coefficient."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        J = draw(st.sampled_from(words))
+        if draw(st.booleans()):
+            pairs.append((J, draw(mixed_coeffs())))
+        else:
+            pairs.append((J, Poly(n, draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), mixed_coeffs(), max_size=3)))))
+    return pairs
+
+
+def fraction_words(n, pairs):
+    """Test-only oracle: {(M, J): coefficient} of the terms f_J * y^J, repeated words added as Fractions."""
+    want = {}
+    for J, f in pairs:
+        for M, c in (f.terms if isinstance(f, Poly) else {(0,) * n: Fraction(f)}).items():
+            key = (tuple(M), tuple(J))
+            want[key] = want.get(key, 0) + c
+    return {key: c for key, c in want.items() if c}
+
+
+def stored_words(D):
+    return {(tuple(M), tuple(J)): c for J, f in D.terms.items() for M, c in f.terms.items()}
+
+
+@given(st.data())
+def test_normal_form_constructors_sum_repeated_words_like_the_reference(data):
+    n, grade = 2, data.draw(st.integers(0, 2))
+    pairs = data.draw(word_pairs(n, [(0, 0), (1, 0), (0, 1), (2, 0)]))
+    D = DiffOp(n, pairs)
+    assert_canonical_diffop(D, n)
+    assert stored_words(D) == fraction_words(n, pairs)
+    pairs = data.draw(word_pairs(n, [J for J in monomials_up_to(n, grade) if sum(J) == grade]))
+    s = SymbolElem(n, grade, pairs)
+    assert_canonical_poly(s.poly, 2 * n)
+    assert SymbolElem(n, grade, s.terms) == s
+    assert stored_words(s) == fraction_words(n, pairs)
 
 
 INEXACT = [0.5, 1e-3, "1/2", None]

@@ -10,8 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylcalc import parser
-from weylcalc.jets import JetMap
+from weylcalc import cli, parser
+from weylcalc.jets import JetMap, from_jet_map
 from weylcalc.operators import DiffOp
 from weylcalc.parser import (
     MAX_DIGITS,
@@ -34,7 +34,7 @@ from weylcalc.parser import (
     parse_poly,
     parse_symbol,
 )
-from weylcalc.poly import Poly
+from weylcalc.poly import Poly, monomials_up_to
 from weylcalc.symbols import SymbolElem, principal_symbol
 
 
@@ -1001,7 +1001,7 @@ B8 = "(" + "+".join(f"t{i}*d{i % 8 + 1}" for i in range(1, 9)) + ")"
 
 def evaluate(kind, *sources):
     parse = {"operator": parse_operator, "poly": parse_poly, "symbol": parse_symbol, "comm": parse_commutator,
-             "apply": parse_action, "construct": lambda degree: parse_jet_map("1,0 -> t2\n", degree)}
+             "apply": parse_action, "construct": lambda degree, text="1,0 -> t2\n": parse_jet_map(text, degree)}
     return parse[kind](*sources)
 
 
@@ -1093,6 +1093,8 @@ def test_heavy_round_trip_text_parses_back():
     assert parse_operator(text, 3) == power
 
 
+TWO_LINES = "0 -> (1/1021)^100000\n1 -> (1/1019)^100000*t1\n"
+THREE_LINES = "0,0 -> (1/1021)^100000\n1,0 -> (1/1019)^100000*t1\n0,1 -> (1/1013)^100000*t2\n"
 REFUSED = [
     pytest.param(("operator", "*".join([F] * 5)), "the product is too large", id="five F"),
     pytest.param(("comm", S8, S8), "the product is too large", id="comm s8 s8"),
@@ -1105,6 +1107,9 @@ REFUSED = [
                  "the product is too large", id="(t1+...+t79)*nines*d1"),
     # a chain of numbers is one term: 7 * 158,497 bits of 3^100000 are over the budget
     pytest.param(("operator", "*".join(["3^100000"] * 7) + "*t1"), "the product is too large", id="3^100000 x7 *t1"),
+    # each value is within the budget alone; the operator from_jet_map would build from them is not
+    pytest.param(("construct", 1, TWO_LINES), "the table is too large", id="table (1/p)^100000, two lines"),
+    pytest.param(("construct", 1, THREE_LINES), "the table is too large", id="table (1/p)^100000, three lines"),
 ]
 
 
@@ -1122,6 +1127,71 @@ def test_refused_inputs_make_no_kernel_call(monkeypatch, source, message):
     with pytest.raises(ParseError, match=message):
         evaluate(*source)
     assert calls == []
+
+
+def test_an_over_budget_table_is_refused_before_from_jet_map(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "from_jet_map", lambda A: pytest.fail("from_jet_map ran"))
+    path = tmp_path / "table.jets"
+    for text in (TWO_LINES, THREE_LINES):
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["construct", "--map", str(path), "--degree", "1"]) == 2
+    bound = f"its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
+    assert capsys.readouterr().err == f"error: the table is too large to expand: {bound}\n" * 2
+
+
+def jet_operator_bits(A):
+    """Terms times the largest coefficient's bits of from_jet_map(A), as it works over lcm(denominators) * k!."""
+    D = from_jet_map(A)
+    den = math.lcm(*(p._den for p in A.values.values())) * math.factorial(A.k)
+    scale = den // D.poly._den
+    return len(D.poly._num) * (max((abs(c * scale).bit_length() for c in D.poly._num.values()), default=0) + den.bit_length())
+
+
+def test_a_table_is_sized_as_the_operator_it_builds(monkeypatch):
+    lcms = []
+    monkeypatch.setattr(parser, "lcm", lambda a, b: lcms.append(a) or math.lcm(a, b))
+    # (1/1021)^100000 is 999,590 bits: one term within the budget at degree 0, two over it at
+    # degree 1, where the word d1 gets -t1 times it
+    A = parse_jet_map("0 -> (1/1021)^100000", 0)
+    assert from_jet_map(A) == DiffOp.from_poly(Poly.const(1, Fraction(1, 1021**100000)))
+    with pytest.raises(ParseError, match="the table is too large"):
+        parse_jet_map("0 -> (1/1021)^100000", 1)
+    # the largest denominator alone is over the room: refused with no lcm taken
+    for text in (TWO_LINES, THREE_LINES):
+        with pytest.raises(ParseError, match="the table is too large"):
+            parse_jet_map(text, 1)
+    assert lcms == []
+    # the two denominators' bits add up to more than the room, their lcm's do not: accepted
+    shared = parse_jet_map("0 -> (1/8)^100000*1/3\n1 -> (1/8)^100000*1/5*t1", 1)
+    assert len(lcms) == 1 and jet_operator_bits(shared) <= MAX_POWER_BITS
+    with pytest.raises(ParseError, match="the table is too large"):
+        parse_jet_map("0 -> (1/8)^100000*1/3\n1 -> (1/9)^95000*t1", 1)
+    assert len(lcms) == 2
+
+
+@st.composite
+def jet_tables(draw):
+    """Jet tables in 1 or 2 variables whose values mix small and large, shared and coprime denominators."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    dens = st.sampled_from([1, 2, 6, 35, 2**200, 3 * 2**200, 5**90, 1021**20])
+    values = {}
+    for I in draw(st.lists(st.sampled_from(monomials_up_to(n, k)), unique=True, max_size=4)):
+        terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(-2**300, 2**300), dens),
+                              max_size=3))
+        values[I] = Poly(n, {J: Fraction(c, d) for J, c, d in terms})
+    return JetMap(n, k, values)
+
+
+@settings(deadline=None)
+@given(jet_tables(), st.sampled_from([2**10, 2**12, 2**14, 2**16, MAX_POWER_BITS]))
+def test_an_accepted_table_builds_an_operator_within_the_budget(A, budget):
+    with mock.patch.object(parser, "MAX_POWER_BITS", budget):
+        try:
+            B = parse_jet_map(A.render(), A.k, n=A.n)
+        except ParseError as exc:
+            assert exc.message.startswith("the table is too large")
+            return
+    assert B == A and jet_operator_bits(B) <= budget
 
 
 # -- the evaluation loop against the tree walk it replaced ---------------------
@@ -1239,7 +1309,8 @@ def reference_first_pass(n, *texts):
 
 
 ENTRY = {"operator": parse_operator, "poly": parse_poly, "symbol": parse_symbol, "comm": parse_commutator,
-         "apply": parse_action, "construct": lambda degree, n=None: parse_jet_map("1,0 -> t2\n", degree, n)}
+         "apply": parse_action,
+         "construct": lambda degree, text="1,0 -> t2\n", n=None: parse_jet_map(text, degree, n)}
 TEXTS = {
     "operator": lambda src: [(src, "d", True)],
     "poly": lambda src: [(src, None, False)],
