@@ -17,13 +17,15 @@ symbols t and the xi prefix (x by default).  Numbers and indices are
 written in decimal digits, at most MAX_DIGITS of them; other numeric
 characters such as '²' are rejected.  Indices go up to MAX_INDEX, and
 parentheses and unary minus nest at most MAX_NESTING deep.  Exponents
-go up to MAX_EXPONENT.  Every product and power in an expression, and
-the two products of parse_commutator and the action of parse_action,
-is sized by one rule before any of it is computed, and refused if its
-terms times coefficient bits could be over MAX_POWER_BITS.  A jet
-table's basis holds at most MAX_JET_BASIS monomials, and the operator
-that from_jet_map would build from it is sized by the same rule
-(_size_table).
+go up to MAX_EXPONENT.  Every product, power and sum in an expression,
+and the two products of parse_commutator and the action of
+parse_action, is sized by one rule before any of it is computed, and
+refused if its terms times coefficient bits could be over
+MAX_POWER_BITS; a sum of values has its denominators sized before it
+is added and its numerators measured as it is made (_Evaluator.add).
+A jet table's basis holds at most MAX_JET_BASIS monomials, and the
+operator that from_jet_map would build from it is sized by the same
+rule, line by line as the table is read (parse_jet_map).
 
 Text becomes a value with no tree in between: one regular-expression
 scan into tokens (_TOKEN.findall), one loop over them that checks the
@@ -90,7 +92,7 @@ from functools import reduce
 from itertools import accumulate, islice
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, itemgetter, le, mul, sub
+from operator import add, attrgetter, itemgetter, le, mul, sub
 
 from .jets import JetMap
 from .operators import DiffOp, commutator
@@ -116,6 +118,7 @@ MAX_JET_BASIS = 300
 # One entry of a jet table's index: decimal digits, a minus sign allowed so
 # that a negative exponent gets its own message.
 _JET_ENTRY = re.compile(rf"\s*-?\d{{1,{MAX_DIGITS}}}\s*")
+_coefficient, _denominator = itemgetter(1), attrgetter("denominator")
 
 
 class ParseError(ValueError):
@@ -319,8 +322,8 @@ def max_index(tokens: list[str]) -> int:
 # parity.  keys holds the terms' exponents where the shape is read off a value.
 _Shape = namedtuple("_Shape", "terms num den reach tdeg ddeg deg gaps keys", defaults=(None,))
 # A product chain (op "mul", args its factors), a power (op "pow", args (base,
-# k)) or a sum (op "sum", args its parts) that is sized but not computed.  A
-# sum's shape is worked out only when the sum is a factor.
+# k)) or a sum of two or more parts, plans among them (op "sum", args its
+# parts), that is sized but not computed.
 _Plan = namedtuple("_Plan", "op args shape")
 
 
@@ -331,9 +334,10 @@ class _Evaluator:
     for polynomials (second is None), else in 2n with y_i in slot n+i.
     reorder says that y_i = d_i does not commute with t_i, so that the
     values are operators.  plan is the first pass: one loop over a
-    text's tokens that computes every product-free part at once and
-    sizes every product and power by its shape, refused if that is over
-    MAX_POWER_BITS, before anything is multiplied.  value is the second
+    text's tokens that computes every product-free part at once, sizing
+    each sum as it adds it (add), and sizes every product, power and sum
+    of plans by its shape, refused if that is over MAX_POWER_BITS,
+    before anything is multiplied.  value is the second
     pass: it maps the plan to kernel calls, with no further checks.
     """
 
@@ -421,9 +425,10 @@ class _Evaluator:
                         c, exps = 1, [0] * width
                     exps[x] += k
                 elif kind == _NUM:
-                    if k != 1:
-                        self.raised(self.shape(_term([0] * width, x)), k)
-                        x **= k
+                    # sized as a one-term power, by the bits of its numerator and its denominator
+                    if k != 1 and ((max(x.numerator, x.denominator).bit_length() - 1) * k > MAX_POWER_BITS
+                                   or (x := x**k).numerator.bit_length() + x.denominator.bit_length() > MAX_POWER_BITS):
+                        raise _too_large(f"the power ^{k}")
                     c = x if c == 1 else -x if c == -1 else _product(c, x)
                 elif kind == _GROUP:
                     if c != 1 or any(exps):
@@ -449,7 +454,7 @@ class _Evaluator:
                 # a group's sum of atom chains alone, not raised, stays its terms for product
                 value = terms if op == ")" and not polys and not plans and tokens[pos] != "^" else self.add(polys, terms)
                 if plans:
-                    value = _Plan("sum", [value, *plans] if value else plans, None)
+                    value = self.summed([value, *plans] if value else plans)
                 if op != ")":
                     return value
                 polys, terms, plans, sign, c, exps, factors, fresh, chain = stack.pop()
@@ -469,11 +474,30 @@ class _Evaluator:
             return self.slots[f"{word}{index}"]
         raise ParseError(_offset(src, tokens, pos), f"variable index {index} exceeds the {self.n} available variables")
 
-    def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]]) -> Poly:
-        """The sum of the Polys and the terms (exponents, coefficient), all at once by the kernel's adder."""
+    def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]], whole: bool = True) -> Poly:
+        """The sum of the Polys and the terms (exponents, coefficient), all at once by the kernel's adder; sized by the one rule.
+
+        Each of its count coefficients, over the lcm L of the
+        denominators, holds at least the bits of L: where count * (bits(L)
+        + 1) is over MAX_POWER_BITS, the sum is refused before it is
+        added, with the lcm walked only where the denominators' bits do
+        not decide (_lcm_over), so that no gcd is taken of a denominator
+        that is over on its own.  Then its numerators are measured on the
+        sum, and it is refused if their bits, and the bits of L for each
+        term, are over MAX_POWER_BITS.  A fold by a nonzero number
+        (product) measures them by its own cap, so it passes whole=False.
+        Both are refused as the sum.
+        """
         if not terms and len(polys) == 1:
             return polys[0]
-        return _sum(self.width, [(part._num.items(), part._den) for part in polys], terms)
+        dens = {*map(_denominator, map(_coefficient, terms)), *(part._den for part in polys)}
+        count = len(terms) + sum(len(part._num) for part in polys)
+        if count > 1 and _lcm_over(dens, MAX_POWER_BITS // count - 1):
+            raise _too_large("the sum")
+        total = _sum(self.width, [(part._num.items(), part._den) for part in polys], terms, reduce(lcm, dens or [1]))
+        if whole and sum(map(int.bit_length, total._num.values())) + len(total._num) * total._den.bit_length() > MAX_POWER_BITS:
+            raise _too_large("the sum")
+        return total
 
     def product(self, factors: list, exps: list[int], c: int | Fraction) -> Poly | _Plan:
         """A chain's factors times its pending term c * t^a * y^b: a value where they multiply out, else a plan.
@@ -496,7 +520,7 @@ class _Evaluator:
                 if k:
                     for e, _ in terms:
                         e[i] += k
-            S = self.add([], terms)
+            S = self.add([], terms, whole=not c)  # the cap below measures S, unless c is 0
             keys, num, den = S._num, c.numerator, c.denominator
             if len(keys) <= MAX_POWER_BITS // ((sum(map(abs, keys.values())) * abs(num)).bit_length() + (S._den * den).bit_length()):
                 return S if c == 1 else Poly._make(self.width, {key: v * num for key, v in keys.items()} if num else {}, S._den * den)
@@ -519,7 +543,7 @@ class _Evaluator:
         if type(x) is not _Plan:
             return x
         if x.op == "sum":
-            return self.add(list(map(self.value, x.args)), [])
+            return _sum(self.width, [(part._num.items(), part._den) for part in map(self.value, x.args)])
         n = self.n
         if x.op == "pow":
             base, k = self.value(x.args[0]), x.args[1]
@@ -532,9 +556,9 @@ class _Evaluator:
     # -- the size rule --------------------------------------------------------
 
     def shape(self, x: Poly | _Plan) -> _Shape:
-        """x's shape: a plan's own, a sum's from its parts, or one read off a value's terms in one loop."""
+        """x's shape: a plan's own, or one read off a value's terms in one loop."""
         if type(x) is _Plan:
-            return x.shape or self.union([self.shape(part) for part in x.args])
+            return x.shape
         n, keys, zero = self.n, x._num, (0,) * self.width
         tdeg = ddeg = deg = 0
         gaps = set()
@@ -553,14 +577,30 @@ class _Evaluator:
             (lo, max(gaps, default=0), gcd(*(g - lo for g in gaps))), keys,
         )
 
-    def union(self, shapes: list[_Shape]) -> _Shape:
-        """The shape of the sum of parts with these shapes."""
+    def summed(self, parts: list[Poly | _Plan]) -> Poly | _Plan:
+        """The sum of the parts, plans among them: a lone part itself, else a plan sized from the parts' shapes.
+
+        Its shape is their union, refused as the sum where fit refuses
+        it.  The lcm of the parts' denominators is walked first
+        (_lcm_over): with L that lcm and a part's num over den, the sum's
+        num is at least num * L / den, so fit refuses wherever 2 * bits(L)
+        + bits(num) - bits(den) - 1 is over MAX_POWER_BITS, where the sum
+        has a term.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        shapes = [self.shape(part) for part in parts]
         terms, nums, dens, reaches, tdegs, ddegs, degs, gaps, _ = zip(*shapes)
+        tops = [num.bit_length() - d.bit_length() for num, d in zip(nums, dens) if num]  # a zero part has no terms
+        if tops and _lcm_over(set(dens), (MAX_POWER_BITS + 1 - max(tops)) // 2):
+            raise _too_large("the sum")
         (los, his, steps), den = zip(*gaps), lcm(*dens)
-        return _Shape(
+        shape = _Shape(
             sum(terms), sum(num * (den // d) for num, d in zip(nums, dens)), den, list(map(max, zip(*reaches))),
             max(tdegs), max(ddegs), max(degs), (min(los), max(his), gcd(*steps, *(lo - min(los) for lo in los))),
         )
+        self.fit(shape, "the sum")
+        return _Plan("sum", parts, shape)
 
     def times(self, left: _Shape, right: _Shape, what: str, action: bool = False) -> _Shape:
         """The shape of left * right, or of left acting on a polynomial right; refused as what if over the budget.
@@ -664,6 +704,18 @@ def _product(c: int | Fraction, x: int | Fraction) -> int | Fraction:
     if sum(v.numerator.bit_length() + v.denominator.bit_length() for v in (c, x)) > MAX_POWER_BITS:
         raise _too_large("the product")
     return c * x
+
+
+def _lcm_over(dens: set[int], room: int) -> bool:
+    """Whether the lcm of the distinct denominators dens has more than room bits, the cheapest test first.
+
+    Its bits are at least the largest denominator's and at most the sum
+    of all of theirs: the lcm is taken, one denominator at a time from
+    the largest, only where that sum is over room, and the walk stops
+    at the first lcm over it, so that a largest denominator over room
+    takes no gcd.
+    """
+    return sum(map(int.bit_length, dens)) > room and any(den.bit_length() > room for den in accumulate(sorted(dens, reverse=True), lcm))
 
 
 def _too_large(what: str) -> ParseError:
@@ -770,8 +822,21 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
     Each index entry is decimal digits.  Blank lines are skipped; absent
     monomials default to the zero value; duplicate lines for one
     monomial are an error.  The number of variables is the number of
-    index entries unless n is given.  A table whose operator could be
-    over the budget is refused as the table (_size_table).
+    index entries unless n is given.
+
+    A table whose operator, from_jet_map's, could be over the budget is
+    refused as the table.  from_jet_map adds each A(t^K), times (k!/J!)
+    * binom(J, K), into every word J >= K of degree at most k, C(n + k -
+    |K|, n) of them, over den * k!, den the lcm of the values'
+    denominators.  The binom(J, K) add up to 2^|J|, so a numerator is
+    below 2^k * k! * den times the largest value coefficient, which is
+    below 2^top.  That bounds the terms, and each term's coefficient bits
+    by top + k + 2 * (bits of k! + bits of den), and so the bits den may
+    have (room), which _lcm_over holds the lcm to.  The bound only grows
+    as values are added, so the values read so far are sized after each
+    line, from running totals of the terms and of top and the set of
+    distinct denominators: a table is refused at the first line that
+    takes it over, before the next line is parsed.
     """
     if n is not None:
         check_variable_count(n)
@@ -797,58 +862,34 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
                 raise ParseError(None, f"line {lineno}: index has {len(exps)} entries, more than {MAX_INDEX}")
             width = len(exps)
         elif len(exps) != width:
-            raise ParseError(
-                None, f"line {lineno}: index has {len(exps)} entries, earlier lines have {width}"
-            )
+            raise ParseError(None, f"line {lineno}: index has {len(exps)} entries, earlier lines have {width}")
         entries.append((lineno, exps, right.strip()))
     if n is None:
         if width is None:
-            raise ParseError(
-                None, "cannot infer the number of variables from an empty table; pass --vars"
-            )
+            raise ParseError(None, "cannot infer the number of variables from an empty table; pass --vars")
         n = width
     elif width is not None and width != n:
         raise ParseError(None, f"index width {width} does not match the requested {n} variables")
     if comb(n + degree, degree) > MAX_JET_BASIS:
-        raise ParseError(
-            None, f"a table of degree {degree} in {n} variables has more than {MAX_JET_BASIS} monomials"
-        )
+        raise ParseError(None, f"a table of degree {degree} in {n} variables has more than {MAX_JET_BASIS} monomials")
     values: dict[MultiIndex, Poly] = {}
+    terms, top, dens = 0, 0, set()  # the running totals of the values read so far
     for lineno, exps, rhs in entries:
         if sum(exps) > degree:
-            raise ParseError(
-                None, f"line {lineno}: monomial degree {sum(exps)} exceeds the table degree {degree}"
-            )
+            raise ParseError(None, f"line {lineno}: monomial degree {sum(exps)} exceeds the table degree {degree}")
         key = MultiIndex(exps)
         if key in values:
             raise ParseError(None, f"line {lineno}: duplicate entry for {exps}")
         try:
-            values[key] = parse_poly(rhs, n=n)
+            values[key] = p = parse_poly(rhs, n=n)
         except ParseError as exc:
             where = f" at offset {exc.offset} in the value" if exc.offset is not None else ""
             raise ParseError(None, f"line {lineno}{where}: {exc.message}") from None
-    _size_table(values, n, degree)
+        if p:
+            terms += len(p._num) * comb(n + degree - sum(exps), n)
+            bits = max(map(abs, p._num.values())).bit_length() - p._den.bit_length() + 1
+            top = max(top, bits) if dens else bits
+            dens.add(p._den)
+            if _lcm_over(dens, (MAX_POWER_BITS // terms - top - degree) // 2 - factorial(degree).bit_length()):
+                raise _too_large("the table")
     return JetMap(n, degree, values)
-
-
-def _size_table(values: dict[MultiIndex, Poly], n: int, k: int) -> None:
-    """Refuse as the table a jet table whose operator, from_jet_map's, could be over the budget.
-
-    from_jet_map adds each A(t^K), times (k!/J!) * binom(J, K), into
-    every word J >= K of degree at most k, C(n + k - |K|, n) of them,
-    over den * k!, den the lcm of the values' denominators.  The
-    binom(J, K) add up to 2^|J|, so a numerator is below 2^k * k! * den
-    times the largest value coefficient, which is below 2^top.  That
-    bounds the terms, and each term's coefficient bits by top + k +
-    2 * (bits of k! + bits of den), and so the bits den may have
-    (room).  The bits of den are at least those of the largest
-    denominator and at most the sum of those of the distinct ones: the
-    lcm is taken, one denominator at a time from the largest, only
-    where the sum is over the room.
-    """
-    terms = sum(len(p._num) * comb(n + k - sum(K), n) for K, p in values.items())
-    top = max((max(map(abs, p._num.values())).bit_length() - p._den.bit_length() + 1 for p in values.values() if p), default=0)
-    room = (MAX_POWER_BITS // max(terms, 1) - top - k) // 2 - factorial(k).bit_length()
-    dens = sorted({p._den for p in values.values() if p}, reverse=True)
-    if sum(d.bit_length() for d in dens) > room and any(den.bit_length() > room for den in accumulate(dens, lcm)):
-        raise _too_large("the table")

@@ -330,7 +330,7 @@ class Poly:
         return f"Poly({self.n}: {self})"
 
 
-def _sum(n: int, parts: Sequence[tuple[Iterable[tuple[tuple, int]], int]], terms: Sequence[tuple[Sequence[int], Scalar]] = ()) -> Poly:
+def _sum(n: int, parts: Sequence[tuple[Iterable[tuple[tuple, int]], int]], terms: Sequence[tuple[Sequence[int], Scalar]] = (), den: int = 0) -> Poly:
     """The Poly in n variables of the parts and the terms, added over the lcm of their denominators.
 
     The one adder of the integer form: every part goes over the lcm,
@@ -342,7 +342,7 @@ def _sum(n: int, parts: Sequence[tuple[Iterable[tuple[tuple, int]], int]], terms
     a plain tuple.  Keys may repeat across parts and terms, and are
     summed.
     """
-    den = math.lcm(*[d for _, d in parts], *[c.denominator for _, c in terms])
+    den = den or math.lcm(*[d for _, d in parts], *[c.denominator for _, c in terms])
     acc: dict[tuple, int] = {}
     get = acc.get
     for pairs, d in parts:

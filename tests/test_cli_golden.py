@@ -5,11 +5,14 @@ exit code, and stderr where the message is ours.  GOLDEN_CASES is also
 executed by the acceptance suite.
 """
 
+import argparse
 import math
 import subprocess
 import sys
 
 import pytest
+
+from weylcalc.cli import build_parser
 
 GOLDEN_CASES = [
     dict(args=["normalize", "d1*t1"], out="(t1)*d1 + 1\n"),
@@ -419,3 +422,51 @@ def test_check_runs_every_law():
     assert len(lines) == 14
     assert all(line.endswith(" PASS") for line in lines)
     assert lines[0].startswith("compose-oracle")
+
+
+VARS = (["--vars"], "number of variables (default: largest index mentioned)", "N", None, False)
+XI = (["--xi-prefix"], "prefix for the symbol variables: letters other than t (default: x)", "P", "x", False)
+HELP = (["-h", "--help"], "show this help message and exit", None, argparse.SUPPRESS, False)
+EXPR = ("expr", None, None, None, True)
+# each subcommand in order: its help, its usage line, and per argument its flags (a
+# positional's name), help, metavar, default and whether it is required
+SHAPE = [
+    ("normalize", "print the normal form of an operator expression", "[-h] [--vars N] expr", [HELP, EXPR, VARS]),
+    ("apply", "apply an operator to a polynomial", "[-h] [--vars N] expr poly",
+     [HELP, EXPR, ("poly", None, None, None, True), VARS]),
+    ("comm", "commutator of two operators", "[-h] [--vars N] left right",
+     [HELP, ("left", None, None, None, True), ("right", None, None, None, True), VARS]),
+    ("order", "syntactic order of the normal form (-inf for 0)", "[-h] [--vars N] expr", [HELP, EXPR, VARS]),
+    ("gorder", "order recomputed from the commutator definition, cross-checked", "[-h] [--vars N] expr",
+     [HELP, EXPR, VARS]),
+    ("symbol", "principal symbol at a grade", "[-h] [--grade GRADE] [--xi-prefix P] [--vars N] expr",
+     [HELP, EXPR, (["--grade"], "grade (default: the operator's order)", None, None, False), XI, VARS]),
+    ("quantize", "normal-ordered operator lift of a symbol", "[-h] [--xi-prefix P] [--vars N] expr",
+     [HELP, EXPR, XI, VARS]),
+    ("split1", "split an order <= 1 operator as derivation plus multiplication", "[-h] [--vars N] expr",
+     [HELP, EXPR, VARS]),
+    ("construct", "build the operator realizing a jet table", "[-h] --map FILE --degree DEGREE [--vars N]",
+     [HELP, (["--map"], "jet table file", "FILE", None, True), (["--degree"], "jet degree bound", None, None, True),
+      VARS]),
+    ("check", "run the randomized law suite",
+     "[-h] [--law LAW] [--trials TRIALS] [--seed SEED] [--n N] [--max-order MAX_ORDER] [--ci]",
+     [HELP, (["--law"], "run one law instead of all", None, None, False), (["--trials"], None, None, None, False),
+      (["--seed"], None, None, None, False),
+      (["--n"], "number of variables for generated instances", None, None, False),
+      (["--max-order"], None, None, None, False),
+      (["--ci"], "pin the acceptance-scale bounds; requires an explicit --seed", None, False, False)]),
+]
+
+
+def test_every_subcommand_keeps_its_arguments(monkeypatch):
+    # the usage lines and the arguments, not the full -h text, whose layout differs
+    # across Python versions; a wide terminal keeps each usage on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    [subs] = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    helps = {action.dest: action.help for action in subs._choices_actions}
+    got = [
+        (name, helps[name], sub.format_usage(),
+         [(a.option_strings or a.dest, a.help, a.metavar, a.default, a.required) for a in sub._actions])
+        for name, sub in subs.choices.items()
+    ]
+    assert got == [(name, help, f"usage: weylcalc {name} {usage}\n", args) for name, help, usage, args in SHAPE]

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -1093,6 +1094,8 @@ def test_heavy_round_trip_text_parses_back():
     assert parse_operator(text, 3) == power
 
 
+SUM = "(1/1021)^100000 + (1/1019)^100000"
+FIVE_PRIMES = "+".join(f"(1/{p})^100000*t1" for p in (2, 3, 5, 7, 11))
 TWO_LINES = "0 -> (1/1021)^100000\n1 -> (1/1019)^100000*t1\n"
 THREE_LINES = "0,0 -> (1/1021)^100000\n1,0 -> (1/1019)^100000*t1\n0,1 -> (1/1013)^100000*t2\n"
 REFUSED = [
@@ -1110,6 +1113,9 @@ REFUSED = [
     # each value is within the budget alone; the operator from_jet_map would build from them is not
     pytest.param(("construct", 1, TWO_LINES), "the table is too large", id="table (1/p)^100000, two lines"),
     pytest.param(("construct", 1, THREE_LINES), "the table is too large", id="table (1/p)^100000, three lines"),
+    # each term is within the budget alone; their sum, over the lcm of the denominators, is not
+    pytest.param(("operator", SUM), "the sum is too large", id="(1/1021)^100000 + (1/1019)^100000"),
+    pytest.param(("poly", FIVE_PRIMES), "the sum is too large", id="(1/p)^100000*t1 over five primes"),
 ]
 
 
@@ -1127,6 +1133,69 @@ def test_refused_inputs_make_no_kernel_call(monkeypatch, source, message):
     with pytest.raises(ParseError, match=message):
         evaluate(*source)
     assert calls == []
+
+
+def test_a_sum_is_sized_by_its_terms_own_denominators(monkeypatch):
+    lcms = []
+    monkeypatch.setattr(parser, "lcm", lambda a, b: lcms.append(a) or math.lcm(a, b))
+    # the largest denominator alone holds more bits than the sum allows each term: refused
+    # with no lcm taken
+    for parse, src in ((parse_operator, SUM), (parse_poly, FIVE_PRIMES)):
+        with pytest.raises(ParseError, match="the sum is too large"):
+            parse(src)
+    assert lcms == []
+    # each term's numerator is charged relative to its own denominator: two terms over one
+    # 499,795-bit denominator hold about 1.0M bits, within the budget
+    half = Fraction(1, 1021**50000)
+    assert parse_operator("(1/1021)^50000*t1 + (1/1021)^50000*t2").poly == Poly(4, {(1, 0, 0, 0): half, (0, 1, 0, 0): half})
+    assert lcms == []
+
+
+@contextmanager
+def bits_built():
+    """The bits of each Poly made in the block, numerators' and the denominator's once per term, in a list."""
+    sizes = []
+    make = Poly._make.__func__
+
+    def recorded(cls, n, num, den):
+        out = make(cls, n, num, den)
+        sizes.append(sum(map(int.bit_length, out._num.values())) + len(out._num) * out._den.bit_length())
+        return out
+
+    with mock.patch.object(Poly, "_make", classmethod(recorded)):
+        yield sizes
+
+
+def largest_value_built(kind, *sources):
+    """The most bits of a Poly made while the input parses, if it is accepted; None if it is refused."""
+    with bits_built() as sizes:
+        try:
+            evaluate(kind, *sources)
+        except ParseError:
+            return None
+    return max(sizes, default=0)
+
+
+# Every Poly that an accepted input makes while it parses, the values of its sums,
+# products and powers and the kernel's own on the way, holds at most MAX_POWER_BITS
+# bits: the one rule bounds each sum, product and power before the kernel computes it.
+@pytest.mark.parametrize("source", [pytest.param(source, id=name) for name, source, _ in ACCEPTED]
+                         + [pytest.param(("operator", "(1/1021)^50000*t1 + (1/1021)^50000*t2"), id="two terms")])
+def test_an_accepted_input_builds_no_value_over_the_budget(source):
+    assert largest_value_built(*source) <= MAX_POWER_BITS
+
+
+@pytest.mark.parametrize("source", [("operator", SUM), ("poly", FIVE_PRIMES)])
+def test_an_over_budget_sum_is_refused(source):
+    assert largest_value_built(*source) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions(["t1", "t2", "d1", "d2"]), expressions(["t1", "t2"]), expressions(["t1", "t2", "x1", "x2"]))
+def test_a_random_input_builds_no_value_over_the_budget(operator, polynomial, symbol):
+    for source in [("operator", operator), ("poly", polynomial), ("symbol", symbol), ("comm", operator, operator),
+                   ("apply", operator, polynomial)]:
+        assert (largest_value_built(*source) or 0) <= MAX_POWER_BITS
 
 
 def test_an_over_budget_table_is_refused_before_from_jet_map(monkeypatch, tmp_path, capsys):
@@ -1189,7 +1258,13 @@ def test_an_accepted_table_builds_an_operator_within_the_budget(A, budget):
         try:
             B = parse_jet_map(A.render(), A.k, n=A.n)
         except ParseError as exc:
-            assert exc.message.startswith("the table is too large")
+            if exc.message.startswith("line "):  # a value over the budget alone: parse_poly refuses it in the same words
+                where, _, words = exc.message.partition(": ")
+                with pytest.raises(ParseError) as alone:
+                    parse_poly(A.render().splitlines()[int(where.split()[1]) - 1].partition("->")[2], A.n)
+                assert alone.value.message == words
+            else:
+                assert exc.message.startswith("the table is too large")
             return
     assert B == A and jet_operator_bits(B) <= budget
 
@@ -1225,7 +1300,7 @@ def reference_sum(evaluator, node, raw=False):
     if raw and not polys and not plans:
         return terms
     value = evaluator.add(polys, terms)
-    return _Plan("sum", [value, *plans] if value else plans, None) if plans else value
+    return evaluator.summed([value, *plans] if value else plans) if plans else value
 
 
 def reference_product(evaluator, node, c):
@@ -1418,14 +1493,23 @@ def test_the_loop_matches_the_tree_walk_on_the_pinned_inputs(source):
 
 
 def test_a_sum_at_its_cap_is_left_to_the_plan():
-    # 79 terms over a 4300-digit denominator reach the cap of a sum times a term, so the plan
-    # sizes the product: refused for a nonzero term, and zero for a zero one
+    # 73 terms over a 4300-digit denominator are within the budget as a sum, and the sum times
+    # 2^100 reaches the cap of a sum times a term, so the plan sizes the product and refuses
+    # it; times 0 the sum is measured where it is added, and folds to zero.  79 such terms are
+    # over the budget as a sum, refused before any product
     big = "9" * MAX_DIGITS
-    total = "(" + "+".join(f"1/{big}*t{i}" for i in range(1, 80)) + ")"
-    assert assert_same_as_the_tree_walk("operator", f"{total}*0*d1")
-    assert parse_operator(f"{total}*0*d1").poly == Poly.zero(158)
+
+    def total(k):
+        return "(" + "+".join(f"1/{big}*t{i}" for i in range(1, k + 1)) + ")"
+
+    assert assert_same_as_the_tree_walk("operator", f"{total(73)}*0*d1")
+    assert parse_operator(f"{total(73)}*0*d1").poly == Poly.zero(146)
     with pytest.raises(ParseError, match="the product is too large"):
-        parse_operator(f"{total}*2*d1")
+        parse_operator(f"{total(73)}*2^100*d1")
+    for c in ("0", "2"):
+        assert not assert_same_as_the_tree_walk("operator", f"{total(79)}*{c}*d1", values=False)
+        with pytest.raises(ParseError, match="the sum is too large"):
+            parse_operator(f"{total(79)}*{c}*d1")
 
 
 def test_the_loop_matches_the_tree_walk_on_products_of_a_cycle():
