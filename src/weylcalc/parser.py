@@ -322,8 +322,8 @@ def max_index(tokens: list[str]) -> int:
 # parity.  keys holds the terms' exponents where the shape is read off a value.
 _Shape = namedtuple("_Shape", "terms num den reach tdeg ddeg deg gaps keys", defaults=(None,))
 # A product chain (op "mul", args its factors), a power (op "pow", args (base,
-# k)) or a sum of two or more parts, plans among them (op "sum", args its
-# parts), that is sized but not computed.
+# k)) or a sum with plans among its parts (op "sum", args its parts) that is
+# sized but not computed.
 _Plan = namedtuple("_Plan", "op args shape")
 
 
@@ -577,22 +577,16 @@ class _Evaluator:
             (lo, max(gaps, default=0), gcd(*(g - lo for g in gaps))), keys,
         )
 
-    def summed(self, parts: list[Poly | _Plan]) -> Poly | _Plan:
-        """The sum of the parts, plans among them: a lone part itself, else a plan sized from the parts' shapes.
+    def summed(self, parts: list[Poly | _Plan]) -> _Plan:
+        """The sum of the parts, plans among them, as a plan sized from the parts' shapes.
 
         Its shape is their union, refused as the sum where fit refuses
-        it.  The lcm of the parts' denominators is walked first
-        (_lcm_over): with L that lcm and a part's num over den, the sum's
-        num is at least num * L / den, so fit refuses wherever 2 * bits(L)
-        + bits(num) - bits(den) - 1 is over MAX_POWER_BITS, where the sum
-        has a term.
+        it.  fit refuses a sum with a term whose lcm of denominators
+        alone has more than MAX_POWER_BITS bits, so that is tested first
+        (_lcm_over), and the lcm is taken only where it is not over.
         """
-        if len(parts) == 1:
-            return parts[0]
-        shapes = [self.shape(part) for part in parts]
-        terms, nums, dens, reaches, tdegs, ddegs, degs, gaps, _ = zip(*shapes)
-        tops = [num.bit_length() - d.bit_length() for num, d in zip(nums, dens) if num]  # a zero part has no terms
-        if tops and _lcm_over(set(dens), (MAX_POWER_BITS + 1 - max(tops)) // 2):
+        terms, nums, dens, reaches, tdegs, ddegs, degs, gaps, _ = zip(*map(self.shape, parts))
+        if sum(terms) and _lcm_over(set(dens), MAX_POWER_BITS):
             raise _too_large("the sum")
         (los, his, steps), den = zip(*gaps), lcm(*dens)
         shape = _Shape(

@@ -340,7 +340,8 @@ def _sum(n: int, parts: Sequence[tuple[Iterable[tuple[tuple, int]], int]], terms
     a part over -den is subtracted.  A term is (exponents, int or
     Fraction coefficient), the exponents n nonnegative ints, stored as
     a plain tuple.  Keys may repeat across parts and terms, and are
-    summed.
+    summed.  den, where nonzero, is that lcm, from a caller that has
+    already worked it out.
     """
     den = den or math.lcm(*[d for _, d in parts], *[c.denominator for _, c in terms])
     acc: dict[tuple, int] = {}
