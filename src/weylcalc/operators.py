@@ -38,6 +38,17 @@ apply is one integer loop as well: for each word J of the operator
 that is at most p's reach, the numerators of d^J(p) are worked out
 once and multiplied into every numerator of f_J, all over
 den(D) * den(p).
+
+A power D**k, where some d_i of D meets a t_i, is k - 1 star products
+by the same D, and it is the one product here on packed integer keys
+(_star_power): each key of 2n exponents is one int, its digits base
+top = k * (largest exponent of D) + 1, which no exponent of the power
+reaches.  D is packed once per power, each product of two terms is one
+int add, and the keys are unpacked once, at the end.  The benchmark's
+8th power of a first-order field in three variables makes 17,097 adds
+against 6 packed terms and 1,897 unpacked keys.  compose and
+commutator meet a new pair of operators each call, mostly small, so
+each would pay its own packing; they add tuples.
 """
 
 from __future__ import annotations
@@ -45,8 +56,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product
-from operator import add, ge, le, sub
+from operator import add, ge, le, mul, sub
 
 from .poly import MultiIndex, Poly, Scalar, _coefficient, _print_key, _sum, format_power_product, render_numerators
 
@@ -298,20 +310,20 @@ class DiffOp(_NormalForm):
         return DiffOp._make(n, Poly._make(2 * n, {key: c for key, c in acc.items() if c}, a._den * b._den))
 
     def __pow__(self, k: int) -> "DiffOp":
-        """k - 1 compositions of self with itself, and the identity at k = 0.
+        """k - 1 star products of self with itself, and the identity at k = 0.
 
         Where no d_i of self meets a t_i of self, self commutes with
-        itself, and its power is the power of its Poly.
+        itself, and its power is the power of its Poly.  Otherwise the
+        k - 1 products are taken by _star_power on packed integer keys:
+        self is packed once per power, not once per product, and the
+        result equals that of k - 1 calls of compose.
         """
         if k < 0:
             raise ValueError(f"negative power {k} of an operator")
         n, reach = self.n, _reach(self.poly._num)
         if not k or not any(map(min, reach[:n], reach[n:])):
             return DiffOp._make(n, self.poly**k)
-        out = self
-        for _ in range(k - 1):
-            out = out.compose(self)
-        return out
+        return DiffOp._make(n, _star_power(n, self.poly, k))
 
     def __str__(self) -> str:
         # defined here, not inherited, so that DiffOp.__str__ can be wrapped on its own
@@ -362,6 +374,75 @@ def _add_star(n: int, a: Poly, b: Poly, sign: int, skip_zero: bool, acc: dict[tu
                 for N, d in right:
                     key = (*map(add, M, N),)
                     acc[key] = get(key, 0) + c * d
+
+
+def _star_power(n: int, a: Poly, k: int) -> Poly:
+    """a ** k under the star product, k >= 1: k - 1 star products by a, on packed integer keys.
+
+    A key (T, X) of 2n exponents is packed as the digits of one int,
+    T first, base top = k * (a's largest exponent) + 1; no exponent of
+    a power up to the k-th reaches top, so no digit carries.  a is
+    packed once, and the accumulator stays packed through all k - 1
+    steps: a term's word X is its key mod top^n, and each product of
+    two terms is one int add.  As in _add_star, the accumulator's terms
+    are grouped by word X, and d_t^K(a) is packed as K <= min(X, reach)
+    is first met, with its keys less (K, K).  A word digit Y - K there
+    may be negative, but packing is linear and every key it meets has
+    X >= K, so each sum is the packing of a true key.  Zeros are
+    dropped after each step; the keys are unpacked, each packed half
+    once, and the numerators reduced over den(a)^k at the end.
+    """
+    num = a._num
+    reach = _reach(num)
+    top = k * max(reach) + 1
+    weights = [top**i for i in reversed(range(2 * n))]
+    half, low = top**n, weights[n:]
+
+    @cache
+    def exponents(h: int) -> tuple:
+        """The n exponents packed in h < top^n."""
+        return tuple([h // w % top for w in low])
+
+    base = {sum(map(mul, key, weights)): c for key, c in num.items()}
+    treach = reach[:n]
+    derivatives: dict[tuple, list[tuple[int, int]]] = {}
+    acc = base
+    for _ in range(k - 1):
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for p, c in acc.items():
+            x = p % half
+            group = groups.get(x)
+            if group is None:
+                group = groups[x] = []
+            group.append((p, c))
+        out: dict[int, int] = {}
+        get = out.get
+        for x, left in groups.items():
+            X = exponents(x)
+            for K in product(*[range(min(e, r) + 1) for e, r in zip(X, treach)]):
+                right = derivatives.get(K)
+                if right is None:
+                    shift = sum(map(mul, K, weights)) + sum(map(mul, K, low))
+                    # base holds a's keys packed, in a's order
+                    right = derivatives[K] = [
+                        (p - shift, d * math.prod(map(math.perm, N, K)))
+                        for (N, d), p in zip(num.items(), base)
+                        if all(map(ge, N, K))
+                    ]
+                if not right:
+                    continue
+                coeff = math.prod(map(_binom, X, K))
+                for M, c in left:
+                    c *= coeff
+                    for N, d in right:
+                        key = M + N
+                        out[key] = get(key, 0) + c * d
+        acc = {p: c for p, c in out.items() if c}
+    keys = {}
+    for p, c in acc.items():
+        t, x = divmod(p, half)
+        keys[exponents(t) + exponents(x)] = c
+    return Poly._make(2 * n, keys, a._den**k)
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -495,9 +495,7 @@ class _Evaluator:
         if count > 1 and _lcm_over(dens, MAX_POWER_BITS // count - 1):
             raise _too_large("the sum")
         total = _sum(self.width, [(part._num.items(), part._den) for part in polys], terms, reduce(lcm, dens or [1]))
-        if whole and sum(map(int.bit_length, total._num.values())) + len(total._num) * total._den.bit_length() > MAX_POWER_BITS:
-            raise _too_large("the sum")
-        return total
+        return _whole(total) if whole else total
 
     def product(self, factors: list, exps: list[int], c: int | Fraction) -> Poly | _Plan:
         """A chain's factors times its pending term c * t^a * y^b: a value where they multiply out, else a plan.
@@ -509,8 +507,8 @@ class _Evaluator:
         |S| terms, and so is refused by the size rule only if |S|
         reaches the cap that its coefficient bits give.  There, and
         where anything meets, the product is a plan, sized as one.  The
-        exponent lists of S are its own, shifted in place, and shifted
-        back for a plan.
+        exponent lists of S are its own, shifted in place; for a plan,
+        S's keys are shifted back, so its terms are added once.
         """
         terms, n = factors[0], self.n
         if len(factors) == 1 and type(terms) is list and not (self.reorder and any(
@@ -524,8 +522,9 @@ class _Evaluator:
             keys, num, den = S._num, c.numerator, c.denominator
             if len(keys) <= MAX_POWER_BITS // ((sum(map(abs, keys.values())) * abs(num)).bit_length() + (S._den * den).bit_length()):
                 return S if c == 1 else Poly._make(self.width, {key: v * num for key, v in keys.items()} if num else {}, S._den * den)
-            for e, _ in terms:
-                e[:] = map(sub, e, exps)
+            if c:  # a factor is measured as a sum, as the fold measured S by its own cap
+                _whole(S)
+            factors = [Poly._make(self.width, {(*map(sub, key, exps),): v for key, v in keys.items()}, S._den)]
         factors = [self.add([], f) if type(f) is list else f for f in factors]
         if c != 1 or any(exps):
             factors.append(_term(exps, c))
@@ -710,6 +709,13 @@ def _lcm_over(dens: set[int], room: int) -> bool:
     takes no gcd.
     """
     return sum(map(int.bit_length, dens)) > room and any(den.bit_length() > room for den in accumulate(sorted(dens, reverse=True), lcm))
+
+
+def _whole(total: Poly) -> Poly:
+    """total, a sum; refused as the sum where its numerators' bits and its denominator's bits for each term are over MAX_POWER_BITS."""
+    if sum(map(int.bit_length, total._num.values())) + len(total._num) * total._den.bit_length() > MAX_POWER_BITS:
+        raise _too_large("the sum")
+    return total
 
 
 def _too_large(what: str) -> ParseError:

@@ -21,6 +21,12 @@ GOLDEN_CASES = [
         out="(t1^2 + 2*t1*t2 + t2^2)*d1 + 2*t1 + 2*t2\n",
     ),
     dict(args=["normalize", "t1*d1 - d1*t1"], out="-1\n"),
+    # operator powers whose d_i meet their t_i: the packed star-product power
+    dict(args=["normalize", "(t1+d1)^3"], out="d1^3 + (3*t1)*d1^2 + (3*t1^2 + 3)*d1 + t1^3 + 3*t1\n"),
+    dict(
+        args=["normalize", "(t1 + 2*d2 - t2*d1)^2"],
+        out="(t2^2)*d1^2 + (-4*t2)*d1*d2 + (4)*d2^2 + (-2*t1*t2 - 2)*d1 + (4*t1)*d2 + t1^2 - t2\n",
+    ),
     dict(args=["apply", "t1*d1*d2", "t1*t2^2"], out="2*t1*t2\n"),
     dict(args=["apply", "d1^2", "t1^3"], out="6*t1\n"),
     # negative fractions keep their signs inside and outside the parentheses

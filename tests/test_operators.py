@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from weylcalc import operators
 from weylcalc.operators import DiffOp, commutator
+from weylcalc.parser import parse_operator
 from weylcalc.poly import MultiIndex, Poly, subindices
 
 
@@ -152,6 +154,116 @@ def test_powers_are_repeated_products(D):
 def test_power_examples_are_repeated_products(terms):
     # one-term bases that commute with themselves take the closed form; t1*d1 reorders with itself
     assert_powers_are_repeated_products(DiffOp(2, terms))
+
+
+def compositions(D, k):
+    """k - 1 compose calls, the identity at k = 0: the oracle for D**k."""
+    out = D if k else DiffOp.identity(D.n)
+    for _ in range(k - 1):
+        out = out.compose(D)
+    return out
+
+
+def applied(D, k, p):
+    """k applications of D to p."""
+    for _ in range(k):
+        p = D(p)
+    return p
+
+
+@st.composite
+def power_cases(draw):
+    """(D, k, p): D in 1..4 variables, at most three terms, exponents up to 3; k from 0 to 8; a probe p.
+
+    Each term's total degree is at most max(2, 24 // k), so that D**k stays small.
+    """
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = [0] * (2 * n)
+        for i in draw(st.lists(st.integers(0, 2 * n - 1), max_size=max(2, 24 // max(k, 1)))):
+            key[i] = min(key[i] + 1, 3)
+        J = tuple(key[n:])
+        terms[J] = terms.get(J, Poly.zero(n)) + Poly.monomial(n, key[:n], draw(coeffs()))
+    return DiffOp(n, terms), k, draw(polys(n=n, max_exp=3, max_terms=3))
+
+
+@given(power_cases())
+def test_powers_are_compositions_and_repeated_applications(case):
+    D, k, p = case
+    P = D**k
+    assert P == compositions(D, k)
+    assert P(p) == applied(D, k, p)
+
+
+def largest_exponent(D):
+    return max(max(key) for key in D.poly._num)
+
+
+@pytest.mark.parametrize("src,k", [
+    pytest.param("t1^3*d1 + t2*d2^2", 4, id="top-1 in t"),
+    pytest.param("t1*d1^3 + t2^2*d2", 5, id="top-1 in d"),
+    pytest.param("t1^2*t2*d2 + d1", 8, id="first order"),
+])
+def test_a_power_reaches_the_largest_packed_digit(src, k):
+    # the packing base is top = k * (largest exponent of D) + 1, and the leading term of D**k
+    # has the exponent top - 1: the largest digit that does not carry
+    D = parse_operator(src, 2)
+    P = D**k
+    assert largest_exponent(P) == k * largest_exponent(D)
+    assert P == compositions(D, k)
+    probe = Poly.monomial(2, (k * 3, k * 3)) + Poly.monomial(2, (1, 2), 5)
+    assert P(probe) == applied(D, k, probe)
+
+
+def test_power_with_a_negative_word_digit():
+    # d_t^1(t1) is t1^0 with word d1^-1 after its key less (1, 1): the digit is negative
+    # until it is added to a key whose word has d1
+    D = parse_operator("t1+d1", 1)
+    P = D**3
+    assert P == compositions(D, 3)
+    assert str(P) == "d1^3 + (3*t1)*d1^2 + (3*t1^2 + 3)*d1 + t1^3 + 3*t1"
+
+
+def test_power_whose_terms_cancel_partway():
+    # (t1 d1)^2 = t1^2 d1^2 + t1 d1, so (t1 d1 - 1/2)^2 = t1^2 d1^2 + 1/4: t1 d1 cancels in the
+    # first product, and the later products start from the smaller accumulator
+    D = parse_operator("t1*d1 - 1/2", 1)
+    assert str(D**2) == "(t1^2)*d1^2 + 1/4"
+    for k in range(6):
+        assert D**k == compositions(D, k)
+        assert (D**k)(Poly.monomial(1, (7,), 3)) == applied(D, k, Poly.monomial(1, (7,), 3))
+
+
+@pytest.mark.parametrize("src", ["-3/2*t1^2*d1", "t2*d2^3", "0", "t1*d2 + 2/3*t1", "t1*d2 + 2/3*t2"])
+def test_power_edges(src):
+    # one-term bases, the zero operator, a base that commutes with itself and one that does
+    # not, at k = 0 to 3
+    D = parse_operator(src, 2)
+    assert D**0 == DiffOp.identity(2)
+    assert D**1 == D
+    for k in range(4):
+        assert D**k == compositions(D, k)
+
+
+def heavy_field():
+    """sum of a_i t_i + b_i d_i in three variables, the kind of field the benchmark raises to the 8th."""
+    return parse_operator("1/2*t1 - 3*t2 + 5/7*t3 + 2/3*d1 - d2 + 4*d3", 3)
+
+
+def test_a_skewed_binomial_breaks_the_power(monkeypatch):
+    # the power reads _binom through the module global, so the off-by-one binomial of the
+    # mutation smoke test makes D**8 disagree with eight applications of D
+    def skewed(a, b):
+        c = math.comb(a, b)
+        return c + 1 if 0 < b < a else c
+
+    D = heavy_field()
+    probe = Poly.monomial(3, (8, 8, 8)) + t(1, 3) * t(2, 3)
+    want = applied(D, 8, probe)
+    assert (D**8)(probe) == want
+    monkeypatch.setattr(operators, "_binom", skewed)
+    assert (D**8)(probe) != want
 
 
 def test_rendering_edges():

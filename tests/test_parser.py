@@ -1510,6 +1510,33 @@ def test_a_sum_at_its_cap_is_left_to_the_plan():
             parse_operator(f"{total(79)}*{c}*d1")
 
 
+def test_a_fold_over_its_cap_adds_its_terms_once(monkeypatch):
+    # 79 terms times a 4300-digit number reach the cap of a fold, so the sum is left to the plan,
+    # which refuses the product: its factor is the sum already added, with its keys shifted back
+    big = "9" * MAX_DIGITS
+    sums = []
+
+    def counted(n, parts, terms=(), den=0, inner=parser._sum):
+        sums.append(len(terms))
+        return inner(n, parts, terms, den)
+
+    src = "(" + "+".join(f"t{i}" for i in range(1, 80)) + f")*{big}*d1"
+    assert not assert_same_as_the_tree_walk("operator", src, values=False)
+    monkeypatch.setattr(parser, "_sum", counted)
+    with pytest.raises(ParseError) as err:
+        parse_operator(src)
+    assert str(err.value) == f"error: the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
+    assert sums == [79]
+    # a fold by a nonzero number measures its sum by its own cap alone; past the cap, the sum
+    # is measured as a sum, and 79 terms of 4300 digits each are over the budget as one
+    monkeypatch.undo()
+    heavy = "(" + "+".join(f"{big}*t{i}" for i in range(1, 80)) + ")"
+    for c in ("0", "2"):
+        assert not assert_same_as_the_tree_walk("operator", f"{heavy}*{c}*d1", values=False)
+        with pytest.raises(ParseError, match="the sum is too large"):
+            parse_operator(f"{heavy}*{c}*d1")
+
+
 def test_the_loop_matches_the_tree_walk_on_products_of_a_cycle():
     for src in (f"{B30}*{B30}*{B30}", f"{B30}^2", f"{B30}*{B30}", f"{B8}^3"):
         assert_same_as_the_tree_walk("operator", src, values=False)
