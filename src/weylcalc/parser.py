@@ -23,9 +23,13 @@ parse_action, is sized by one rule before any of it is computed, and
 refused if its terms times coefficient bits could be over
 MAX_POWER_BITS; a sum of values has its denominators sized before it
 is added and its numerators measured as it is made (_Evaluator.add).
-A jet table's basis holds at most MAX_JET_BASIS monomials, and the
-operator that from_jet_map would build from it is sized by the same
-rule, line by line as the table is read (parse_jet_map).
+A number raised to a power is refused, before it is computed where
+its estimate decides, if its bits are over MAX_POWER_BITS or over what
+is left of 4 * MAX_POWER_BITS, which the number powers of one call
+share, across its texts and the lines of a jet table.  A jet table's
+basis holds at most MAX_JET_BASIS monomials, and the operator that
+from_jet_map would build from it is sized by the same rule, line by
+line as the table is read (parse_jet_map).
 
 Text becomes a value with no tree in between: one regular-expression
 scan into tokens (_TOKEN.findall), one loop over them that checks the
@@ -54,22 +58,25 @@ than a lone atom raised to a power, is a value of its own.
 
 The evaluator works in two passes.  The first, that loop, computes
 every part that multiplies nothing but atoms, as above, and a sum of
-atom chains that a chain multiplies by numbers and atoms alone, as in
+such terms that a chain multiplies by numbers and atoms alone, as in
 each printed term (f_J)*d^J: where no d_i of the sum meets a t_i of
-the chain's term, each of its terms times that term is one term, so
-the product keeps the sum's term count, and the size rule refuses it
-only where that count reaches a cap.  It turns each other product,
-power and sum into a plan that carries its shape: an upper bound on its
-terms, on its coefficients (the sum of |numerators| and a denominator,
-as exact integers), on its exponents and degrees, and a progression
-that holds its t- less y-degrees and keeps their parity.  The shape of
-a product comes from the star product's rule: the degrees add, the t-
-less y-degrees add, and a left word y^X meets a right t^S in one term
-for each K <= X, S.  Read off a computed value, a shape counts the
-terms by word and power, so that B^2 and B*B, for B = t1*d2 + t2*d3 +
-... + t30*d1, are both sized from the terms of B; a shape above that
-keeps only the reach.  A power is the k-fold product under the same
-rule, iterated for a base in which a d_i meets a t_i, in closed form
+the chain's term, each of its terms times that term is one term.  By
+the number 1, as printed, those terms go to the sum the product stands
+in, which adds and sizes them with its own, so that a printed operator
+is added once; by any other number, the sum is added first, and the
+product, which keeps its term count, is refused only where that count
+reaches a cap.  It turns each other product, power and sum into a plan
+that carries its shape: an upper bound on its terms, on its
+coefficients (the sum of |numerators| and a denominator, as exact
+integers), on its exponents and degrees, and a progression that holds
+its t- less y-degrees and keeps their parity.  The shape of a product
+comes from the star product's rule: the degrees add, the t- less
+y-degrees add, and a left word y^X meets a right t^S in one term for
+each K <= X, S.  Read off a computed value, a shape counts the terms
+by word and power, so that B^2 and B*B, for B = t1*d2 + t2*d3 + ... +
+t30*d1, are both sized from the terms of B; a shape above that keeps
+only the reach.  A power is the k-fold product under the same rule,
+iterated for a base in which a d_i meets a t_i, in closed form
 otherwise; an action D(p) is the y-degree-0 slice of the product
 D * p.  A plan over the budget is refused at once.  The second pass
 computes the plans with no checks, each by one kernel call: an
@@ -92,7 +99,7 @@ from functools import reduce
 from itertools import accumulate, islice
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, attrgetter, itemgetter, le, mul, sub
+from operator import add, attrgetter, itemgetter, le, mul
 
 from .jets import JetMap
 from .operators import DiffOp, commutator
@@ -325,6 +332,9 @@ _Shape = namedtuple("_Shape", "terms num den reach tdeg ddeg deg gaps keys", def
 # k)) or a sum with plans among its parts (op "sum", args its parts) that is
 # sized but not computed.
 _Plan = namedtuple("_Plan", "op args shape")
+# A term's coefficient as the adder reads it, numerator over denominator, with
+# no gcd taken per term: the terms of a fold share one reduced denominator.
+_Ratio = namedtuple("_Ratio", "numerator denominator")
 
 
 class _Evaluator:
@@ -339,10 +349,12 @@ class _Evaluator:
     of plans by its shape, refused if that is over MAX_POWER_BITS,
     before anything is multiplied.  value is the second
     pass: it maps the plan to kernel calls, with no further checks.
+    allowance, [the bits left], is what the number powers of the call
+    may still hold, shared by all its evaluators.
     """
 
-    def __init__(self, n: int, second: str | None, reorder: bool):
-        self.n, self.reorder = n, reorder
+    def __init__(self, n: int, second: str | None, reorder: bool, allowance: list[int]):
+        self.n, self.reorder, self.allowance = n, reorder, allowance
         self.width = n if second is None else 2 * n
         self.prefixes = frozenset({"t"} if second is None else {"t", second})
         # variable token -> slot, for the indices written without leading zeros
@@ -354,7 +366,7 @@ class _Evaluator:
         """The first pass over src's well-formed tokens (_TOKEN.findall): its value, or the plan that computes it.
 
         The state is that of the innermost open group: its sum's parts
-        (polys, terms, plans), the sign that starts a chain after '+',
+        (terms and plans), the sign that starts a chain after '+',
         the chain being read (factors, the pending term exps and c,
         whether it has a factor yet), and whether the group goes on
         with the chain around it, and so has no sum.  What '(' does
@@ -364,8 +376,8 @@ class _Evaluator:
         - a lone atom, such as (t1) or ((3/4)), is that atom;
         - a group raised to a power, or a sum that is a factor, is a
           sum of its own, read with sign +1, whose value is a factor;
-          one of atom chains alone, not raised, stays its list of
-          terms, for product to multiply out where its chain ends;
+          one of terms alone, not raised, stays its list of terms, for
+          product to multiply out where its chain ends;
         - a group of one chain that is a factor goes on with the chain;
         - a whole term, signs aside, adds its chains to the enclosing
           sum, each starting with the sign in front of the group.
@@ -373,7 +385,7 @@ class _Evaluator:
         semantic: an index above n, or a size over the budget.
         """
         n, width, reorder, slots = self.n, self.width, self.reorder, self.slots
-        polys, terms, plans = [], [], []  # the sum's Polys, (exponents, coefficient) terms, and plans
+        terms, plans = [], []  # the sum's (exponents, coefficient) terms, and its plans
         sign = c = 1
         exps, factors, fresh, chain = [0] * width, [], True, False
         stack: list[tuple] = []
@@ -390,8 +402,10 @@ class _Evaluator:
             elif op == "-":
                 c = -c
                 continue
-            elif op != "(":
-                kind, x = _VAR, self.slot(src, tokens, pos - 1)
+            elif op != "(":  # a variable the slot table has none for, as t01: a lexical error if _index is 0
+                if not 0 < (x := _index(op, self.prefixes)) <= n:
+                    raise ParseError(_offset(src, tokens, pos - 1), f"variable index {x} exceeds the {n} available variables")
+                kind, x = _VAR, x - 1 if op[0] == "t" and op[1:].isdecimal() else n + x - 1
             else:
                 close, content = groups[pos - 1]
                 if content == _ATOM:
@@ -400,8 +414,8 @@ class _Evaluator:
                 after = tokens[close + 1]
                 factor = chain or not fresh or after == "*"
                 if after == "^" or factor and content == _SUM:  # a sum of its own
-                    stack.append((polys, terms, plans, sign, c, exps, factors, fresh, chain))
-                    polys, terms, plans = [], [], []
+                    stack.append((terms, plans, sign, c, exps, factors, fresh, chain))
+                    terms, plans = [], []
                     sign = c = 1
                     exps, factors, fresh, chain = [0] * width, [], True, False
                 else:  # a chain the enclosing one goes on with, or a whole term of the enclosing sum
@@ -425,10 +439,14 @@ class _Evaluator:
                         c, exps = 1, [0] * width
                     exps[x] += k
                 elif kind == _NUM:
-                    # sized as a one-term power, by the bits of its numerator and its denominator
-                    if k != 1 and ((max(x.numerator, x.denominator).bit_length() - 1) * k > MAX_POWER_BITS
-                                   or (x := x**k).numerator.bit_length() + x.denominator.bit_length() > MAX_POWER_BITS):
-                        raise _too_large(f"the power ^{k}")
+                    # sized as a one-term power, by the bits of its numerator and its denominator, within
+                    # what is left of the call's allowance, which it is charged
+                    if k != 1:
+                        room = min(MAX_POWER_BITS, self.allowance[0])
+                        if (max(x.numerator, x.denominator).bit_length() - 1) * k > room or (
+                                bits := (x := x**k).numerator.bit_length() + x.denominator.bit_length()) > room:
+                            raise _too_large(f"the power ^{k}")
+                        self.allowance[0] -= bits
                     c = x if c == 1 else -x if c == -1 else _product(c, x)
                 elif kind == _GROUP:
                     if c != 1 or any(exps):
@@ -444,38 +462,24 @@ class _Evaluator:
                     continue
                 if factors:  # the chain ends
                     part = self.product(factors, exps, c)
-                    (plans if type(part) is _Plan else polys).append(part)
+                    (terms.extend if type(part) is list else plans.append)(part)
                 else:
                     terms.append((exps, c))
                 exps, factors, fresh = [0] * width, [], True
                 if op == "+" or op == "-":
                     c = sign if op == "+" else -sign
                     break
-                # a group's sum of atom chains alone, not raised, stays its terms for product
-                value = terms if op == ")" and not polys and not plans and tokens[pos] != "^" else self.add(polys, terms)
+                # a group's sum of terms alone, not raised, stays its terms for product
+                value = terms if op == ")" and not plans and tokens[pos] != "^" else self.add(terms)
                 if plans:
                     value = self.summed([value, *plans] if value else plans)
                 if op != ")":
                     return value
-                polys, terms, plans, sign, c, exps, factors, fresh, chain = stack.pop()
+                terms, plans, sign, c, exps, factors, fresh, chain = stack.pop()
                 kind, x = _GROUP, value
 
-    def slot(self, src: str, tokens: list[str], pos: int) -> int:
-        """The slot of the variable at tokens[pos] where the slot table has none, as for t01; else an error.
-
-        The error is that the index is above n, at the token's offset
-        in src (_offset).  A variable that is not well formed gets it
-        too, but then src has a lexical error, which _first_pass finds
-        and raises instead.
-        """
-        word, digits = _VARIABLE.fullmatch(tokens[pos]).groups()
-        index = int(digits) if 0 < len(digits) <= MAX_DIGITS else 0
-        if word in self.prefixes and 0 < index <= self.n:
-            return self.slots[f"{word}{index}"]
-        raise ParseError(_offset(src, tokens, pos), f"variable index {index} exceeds the {self.n} available variables")
-
-    def add(self, polys: list[Poly], terms: list[tuple[list[int], int | Fraction]], whole: bool = True) -> Poly:
-        """The sum of the Polys and the terms (exponents, coefficient), all at once by the kernel's adder; sized by the one rule.
+    def add(self, terms: list[tuple[list[int], int | Fraction]]) -> Poly:
+        """The sum of the terms (exponents, coefficient), all at once by the kernel's adder; sized by the one rule.
 
         Each of its count coefficients, over the lcm L of the
         denominators, holds at least the bits of L: where count * (bits(L)
@@ -484,31 +488,30 @@ class _Evaluator:
         not decide (_lcm_over), so that no gcd is taken of a denominator
         that is over on its own.  Then its numerators are measured on the
         sum, and it is refused if their bits, and the bits of L for each
-        term, are over MAX_POWER_BITS.  A fold by a nonzero number
-        (product) measures them by its own cap, so it passes whole=False.
-        Both are refused as the sum.
+        term, are over MAX_POWER_BITS.  Both are refused as the sum.
         """
-        if not terms and len(polys) == 1:
-            return polys[0]
-        dens = {*map(_denominator, map(_coefficient, terms)), *(part._den for part in polys)}
-        count = len(terms) + sum(len(part._num) for part in polys)
-        if count > 1 and _lcm_over(dens, MAX_POWER_BITS // count - 1):
+        dens = set(map(_denominator, map(_coefficient, terms)))
+        if len(terms) > 1 and _lcm_over(dens, MAX_POWER_BITS // len(terms) - 1):
             raise _too_large("the sum")
-        total = _sum(self.width, [(part._num.items(), part._den) for part in polys], terms, reduce(lcm, dens or [1]))
-        return _whole(total) if whole else total
+        total = _sum(self.width, (), terms, reduce(lcm, dens or [1]))
+        if sum(map(int.bit_length, total._num.values())) + len(total._num) * total._den.bit_length() > MAX_POWER_BITS:
+            raise _too_large("the sum")
+        return total
 
-    def product(self, factors: list, exps: list[int], c: int | Fraction) -> Poly | _Plan:
-        """A chain's factors times its pending term c * t^a * y^b: a value where they multiply out, else a plan.
+    def product(self, factors: list, exps: list[int], c: int | Fraction) -> list | _Plan:
+        """A chain's factors times its pending term c * t^a * y^b: its terms where they multiply out, else a plan.
 
         Where the factors are [S], S the terms of a group whose parts
         are all chains of atoms, and no y_i in S's terms meets a t_i of
-        the term, each term of S times it is one term, so the product is
-        S with a and b added to its exponents, times c (fold).  It keeps
-        |S| terms, and so is refused by the size rule only if |S|
-        reaches the cap that its coefficient bits give.  There, and
-        where anything meets, the product is a plan, sized as one.  The
-        exponent lists of S are its own, shifted in place; for a plan,
-        S's keys are shifted back, so its terms are added once.
+        the term, each term of S times it is one term (fold): a and b are
+        added to the exponent lists of S, which are its own, in place.
+        For c = 1 those are the product's terms, which the enclosing sum
+        adds and sizes together with its own.  For any other c, S is
+        added and sized as a sum, and the product keeps its |S| terms:
+        it is refused as the product where |S| reaches the cap that its
+        coefficient bits give, as fit would refuse S times the term, and
+        else its terms are those of S times c.  Where anything meets,
+        the product is a plan, sized as one.
         """
         terms, n = factors[0], self.n
         if len(factors) == 1 and type(terms) is list and not (self.reorder and any(
@@ -518,14 +521,15 @@ class _Evaluator:
                 if k:
                     for e, _ in terms:
                         e[i] += k
-            S = self.add([], terms, whole=not c)  # the cap below measures S, unless c is 0
-            keys, num, den = S._num, c.numerator, c.denominator
-            if len(keys) <= MAX_POWER_BITS // ((sum(map(abs, keys.values())) * abs(num)).bit_length() + (S._den * den).bit_length()):
-                return S if c == 1 else Poly._make(self.width, {key: v * num for key, v in keys.items()} if num else {}, S._den * den)
-            if c:  # a factor is measured as a sum, as the fold measured S by its own cap
-                _whole(S)
-            factors = [Poly._make(self.width, {(*map(sub, key, exps),): v for key, v in keys.items()}, S._den)]
-        factors = [self.add([], f) if type(f) is list else f for f in factors]
+            if c == 1:
+                return terms
+            S = self.add(terms)
+            keys, num, den = S._num, c.numerator, S._den * c.denominator
+            if len(keys) > MAX_POWER_BITS // ((sum(map(abs, keys.values())) * abs(num)).bit_length() + den.bit_length()):
+                raise _too_large("the product")
+            g = gcd(den, *(nums := [v * num for v in keys.values()]))  # reduced once, as Poly._make reduces
+            return [([*key], _Ratio(v // g, den // g)) for key, v in zip(keys, nums)] if num else []
+        factors = [self.add(f) if type(f) is list else f for f in factors]
         if c != 1 or any(exps):
             factors.append(_term(exps, c))
         if len(factors) == 1:
@@ -711,13 +715,6 @@ def _lcm_over(dens: set[int], room: int) -> bool:
     return sum(map(int.bit_length, dens)) > room and any(den.bit_length() > room for den in accumulate(sorted(dens, reverse=True), lcm))
 
 
-def _whole(total: Poly) -> Poly:
-    """total, a sum; refused as the sum where its numerators' bits and its denominator's bits for each term are over MAX_POWER_BITS."""
-    if sum(map(int.bit_length, total._num.values())) + len(total._num) * total._den.bit_length() > MAX_POWER_BITS:
-        raise _too_large("the sum")
-    return total
-
-
 def _too_large(what: str) -> ParseError:
     bound = f"its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
     return ParseError(None, f"{what} is too large to expand: {bound}")
@@ -732,8 +729,12 @@ def check_variable_count(n: int) -> int:
     return n
 
 
-def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tuple[_Evaluator, Poly | _Plan]]:
+def _first_pass(n: int | None, *texts: tuple[str, str | None, bool],
+                allowance: list | None = None) -> list[tuple[_Evaluator, Poly | _Plan]]:
     """Each text (source, second, reorder) in one n, given or the largest index in any: its evaluator and its plan.
+
+    The number powers of all the texts share one allowance, [the bits
+    left of 4 * MAX_POWER_BITS], unless the caller passes its own.
 
     _groups checks the syntax of every text before any is planned.
     Errors come text by text, the first text's first: its lexical
@@ -749,7 +750,8 @@ def _first_pass(n: int | None, *texts: tuple[str, str | None, bool]) -> list[tup
         n = max(1, *map(max_index, tokens))
     else:
         check_variable_count(n)
-    evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
+    allowance = allowance or [4 * MAX_POWER_BITS]
+    evaluators = [_Evaluator(n, second, reorder, allowance) for _, second, reorder in texts]
     try:
         groups = list(map(_groups, tokens))
         return [(ev, ev.plan(src, each, found)) for ev, (src, _, _), each, found in zip(evaluators, texts, tokens, groups)]
@@ -873,7 +875,8 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
     if comb(n + degree, degree) > MAX_JET_BASIS:
         raise ParseError(None, f"a table of degree {degree} in {n} variables has more than {MAX_JET_BASIS} monomials")
     values: dict[MultiIndex, Poly] = {}
-    terms, top, dens = 0, 0, set()  # the running totals of the values read so far
+    # the running totals of the values read so far, and the allowance that their number powers share
+    terms, top, dens, allowance = 0, 0, set(), [4 * MAX_POWER_BITS]
     for lineno, exps, rhs in entries:
         if sum(exps) > degree:
             raise ParseError(None, f"line {lineno}: monomial degree {sum(exps)} exceeds the table degree {degree}")
@@ -881,7 +884,8 @@ def parse_jet_map(text: str, degree: int, n: int | None = None) -> JetMap:
         if key in values:
             raise ParseError(None, f"line {lineno}: duplicate entry for {exps}")
         try:
-            values[key] = p = parse_poly(rhs, n=n)
+            [(evaluator, x)] = _first_pass(n, (rhs, None, False), allowance=allowance)
+            values[key] = p = evaluator.value(x)
         except ParseError as exc:
             where = f" at offset {exc.offset} in the value" if exc.offset is not None else ""
             raise ParseError(None, f"line {lineno}{where}: {exc.message}") from None

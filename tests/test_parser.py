@@ -6,6 +6,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add
 from unittest import mock
 
 import pytest
@@ -1051,6 +1052,10 @@ ACCEPTED = [
     # and is sized from its terms; as a plan, the base was refused at ^4
     ("a folded sum in a power's base", ("operator", "(d1 + (2*t1^8 + 84)*3 + t2 + 1/2*t1 + 2*d1*d2)^4"),
      "87b26344d0d2c6bb94d2715a33ab212e70bf9f83aa73bd679330436fe6d2719e"),
+    # a group times d1 alone adds its terms to the sum it stands in, sized as that sum: each term
+    # holds its own numerator's bits, where a fold's cap charged each the 4300 digits
+    ("(nines*t1 + t2 + ... + t80)*d1", ("operator", f"({'9' * MAX_DIGITS}*t1+" + "+".join(f"t{i}" for i in range(2, 81)) + ")*d1"),
+     "bbec9eb507ef34fcd467d6996f992ce35b41b98fd98006643dcaba5159045596"),
 ]
 
 
@@ -1066,6 +1071,20 @@ def test_a_number_chain_is_sized_as_one_term():
     src = "*".join(["3^100000"] * 6) + "*t1"
     assert assert_same_as_the_tree_walk("operator", src, values=False)
     assert parse_operator(src).poly == Poly.monomial(2, (1, 0), 3**600000)
+
+
+def test_number_powers_share_one_allowance_per_call():
+    # each (1/1021)^100000 holds 999,578 bits: four fit in 4 * MAX_POWER_BITS, a fifth does not,
+    # in one text, across the two texts of a call, or across the lines of a jet table
+    zeros = ["+".join(["(1/1021)^100000*0"] * k) for k in range(6)]
+    assert parse_poly(zeros[4]) == Poly.zero(1)
+    assert parse_commutator(zeros[2] + "+d1", zeros[2] + "+t1") == parse_operator("1")
+    table = "".join(f"{i} -> (1/1021)^100000*0\n" for i in range(5))
+    assert parse_jet_map(table.replace("0 -> (1/1021)^100000*0\n", "0 -> 1\n", 1), 4).values[(4,)] == Poly.zero(1)
+    for refused in [lambda: parse_poly(zeros[5]), lambda: parse_commutator(zeros[3], zeros[2]),
+                    lambda: parse_action(zeros[1] + "+d1", zeros[4] + "+t1"), lambda: parse_jet_map(table, 4)]:
+        with pytest.raises(ParseError, match=r"the power \^100000 is too large"):
+            refused()
 
 
 def test_a_power_and_its_product_chain_get_one_verdict():
@@ -1094,6 +1113,16 @@ def test_heavy_round_trip_text_parses_back():
     assert parse_operator(text, 3) == power
 
 
+def test_printed_coefficients_add_their_terms_to_one_sum(monkeypatch):
+    # each printed term (f_J)*d^J passes the terms of f_J, shifted by J, to the sum it stands
+    # in, so the whole text is added, and sized, once
+    sums = []
+    monkeypatch.setattr(parser, "_sum", lambda *args, inner=parser._sum: sums.append(len(args[2])) or inner(*args))
+    power = heavy_power()
+    assert parse_operator(str(power), 3) == power
+    assert sums == [len(power.poly._num)]
+
+
 SUM = "(1/1021)^100000 + (1/1019)^100000"
 FIVE_PRIMES = "+".join(f"(1/{p})^100000*t1" for p in (2, 3, 5, 7, 11))
 TWO_LINES = "0 -> (1/1021)^100000\n1 -> (1/1019)^100000*t1\n"
@@ -1116,6 +1145,14 @@ REFUSED = [
     # each term is within the budget alone; their sum, over the lcm of the denominators, is not
     pytest.param(("operator", SUM), "the sum is too large", id="(1/1021)^100000 + (1/1019)^100000"),
     pytest.param(("poly", FIVE_PRIMES), "the sum is too large", id="(1/p)^100000*t1 over five primes"),
+    # the number powers of a call share 4 * MAX_POWER_BITS, whatever their chains come to: the
+    # fifth near-budget power is refused before it is computed
+    pytest.param(("operator", " + ".join(["(1/1021)^100000*0"] * 80)), r"the power \^100000 is too large",
+                 id="(1/1021)^100000*0 x80"),
+    pytest.param(("operator", " + ".join(["(1/1021)^50000*1021^50000*t1"] * 40)), r"the power \^50000 is too large",
+                 id="(1/1021)^50000*1021^50000*t1 x40"),
+    pytest.param(("construct", 299, "".join(f"{i} -> (1/1021)^100000*0\n" for i in range(300))),
+                 r"line 5: the power \^100000 is too large", id="table (1/1021)^100000*0, 300 lines"),
 ]
 
 
@@ -1278,10 +1315,10 @@ def reference_sum(evaluator, node, raw=False):
     (_term), so that equal plans come out where the two passes read the
     text alike.  A sum and a product chain are walked with an explicit
     stack; every Neg on the way to a product flips its sign.  With raw, a
-    sum whose parts are all chains of atoms is its list of terms, which
+    sum whose parts are all terms is its list of terms, which
     reference_product multiplies out.
     """
-    polys, terms, plans = [], [], []  # Polys, (exponents, coefficient) terms, and plans
+    terms, plans = [], []  # (exponents, coefficient) terms, and plans
     stack = [(node, 1)]
     while stack:
         node, sign = stack.pop()
@@ -1294,10 +1331,10 @@ def reference_sum(evaluator, node, raw=False):
             stack.append((node.inner, -sign))
         else:
             part = reference_product(evaluator, node, sign)
-            (terms if type(part) is tuple else plans if type(part) is _Plan else polys).append(part)
-    if raw and not polys and not plans:
+            (terms.append if type(part) is tuple else terms.extend if type(part) is list else plans.append)(part)
+    if raw and not plans:
         return terms
-    value = evaluator.add(polys, terms)
+    value = evaluator.add(terms)
     return evaluator.summed([value, *plans] if value else plans) if plans else value
 
 
@@ -1325,9 +1362,16 @@ def reference_product(evaluator, node, c):
             value = node.value
             if value.denominator == 1:
                 value = value.numerator
-            if k != 1:
-                evaluator.raised(evaluator.shape(_term([0] * width, value)), k)
-                value **= k
+            if k != 1:  # a one-term power, whose bits, or their estimate where that is over, the call's allowance is charged
+                spent = (max(value.numerator, value.denominator).bit_length() - 1) * k
+                if spent <= evaluator.allowance[0]:
+                    evaluator.raised(evaluator.shape(_term([0] * width, value)), k)
+                    value **= k
+                    spent = value.numerator.bit_length() + value.denominator.bit_length()
+                evaluator.allowance[0] -= spent
+                if evaluator.allowance[0] < 0:
+                    raise ParseError(None, f"the power ^{k} is too large to expand: its estimated terms times "
+                                           f"coefficient bits exceed {MAX_POWER_BITS}")
             if c != 1 and c != -1:  # a second number of the chain: the product of two one-term shapes
                 bits = sum(v.numerator.bit_length() + v.denominator.bit_length() for v in (c, value))
                 if bits > MAX_POWER_BITS:
@@ -1356,14 +1400,19 @@ def reference_product(evaluator, node, c):
     if not factors:
         return exps, c
     if len(factors) == 1 and type(factors[0]) is list:
-        # a sum of atom chains times numbers and atoms: its plain product, where no d_i of the
-        # sum's terms meets a t_i of the term and the product has fewer terms than its cap
+        # a sum of terms times numbers and atoms, where no d_i of the sum's terms meets a t_i of
+        # the term: times 1, the sum's terms shifted, for the enclosing sum to add; times any
+        # other number, the plain product, where it has fewer terms than its cap, and else the
+        # plan below, which must refuse it
         raw, term = factors[0], _term(exps, c)
-        s, t = evaluator.shape(evaluator.add([], raw)), evaluator.shape(term)
-        meets = reorder and any(min(e[n + i], exps[i]) for e, _ in raw for i in range(n))
-        if not meets and s.terms < MAX_POWER_BITS // ((s.num * t.num).bit_length() + (s.den * t.den).bit_length()) + 1:
-            return evaluator.add([], raw) * term
-    factors = [evaluator.add([], f) if type(f) is list else f for f in factors]
+        if not (reorder and any(min(e[n + i], exps[i]) for e, _ in raw for i in range(n))):
+            if c == 1:
+                return [([*map(add, e, exps)], v) for e, v in raw]
+            s, t = evaluator.shape(evaluator.add(raw)), evaluator.shape(term)
+            if s.terms < MAX_POWER_BITS // ((s.num * t.num).bit_length() + (s.den * t.den).bit_length()) + 1:
+                folded = evaluator.add(raw) * term
+                return [([*key], Fraction(v, folded._den)) for key, v in folded._num.items()]
+    factors = [evaluator.add(f) if type(f) is list else f for f in factors]
     if c != 1 or any(exps):
         factors.append(_term(exps, c))
     if len(factors) == 1:
@@ -1371,13 +1420,14 @@ def reference_product(evaluator, node, c):
     return _Plan("mul", factors, reduce(lambda out, s: evaluator.times(out, s, "the product"), map(evaluator.shape, factors)))
 
 
-def reference_first_pass(n, *texts):
+def reference_first_pass(n, *texts, allowance=None):
     """parser._first_pass as it was: each text (source, second, reorder) to a tree, then to a plan."""
     trees = [reference_parse(src, {"t", second or "t"}) for src, second, _ in texts]
     if n is None:
         n = max(1, *map(reference_max_index, trees))
     check_variable_count(n)
-    evaluators = [_Evaluator(n, second, reorder) for _, second, reorder in texts]
+    allowance = allowance or [4 * MAX_POWER_BITS]
+    evaluators = [_Evaluator(n, second, reorder, allowance) for _, second, reorder in texts]
     return [(evaluator, reference_sum(evaluator, tree)) for evaluator, tree in zip(evaluators, trees)]
 
 
@@ -1492,9 +1542,9 @@ def test_the_loop_matches_the_tree_walk_on_the_pinned_inputs(source):
 
 def test_a_sum_at_its_cap_is_left_to_the_plan():
     # 73 terms over a 4300-digit denominator are within the budget as a sum, and the sum times
-    # 2^100 reaches the cap of a sum times a term, so the plan sizes the product and refuses
-    # it; times 0 the sum is measured where it is added, and folds to zero.  79 such terms are
-    # over the budget as a sum, refused before any product
+    # 2^100 reaches the cap of a sum times a term, so the product is refused, as the tree walk's
+    # plan of the sum times the term is; times 0 the sum is measured where it is added, and
+    # folds to zero.  79 such terms are over the budget as a sum, refused before any product
     big = "9" * MAX_DIGITS
 
     def total(k):
@@ -1511,8 +1561,8 @@ def test_a_sum_at_its_cap_is_left_to_the_plan():
 
 
 def test_a_fold_over_its_cap_adds_its_terms_once(monkeypatch):
-    # 79 terms times a 4300-digit number reach the cap of a fold, so the sum is left to the plan,
-    # which refuses the product: its factor is the sum already added, with its keys shifted back
+    # 79 terms times a 4300-digit number reach the cap of a fold, so the product is refused, as
+    # the tree walk's plan of the sum times the number is, once the sum is added
     big = "9" * MAX_DIGITS
     sums = []
 
@@ -1527,8 +1577,8 @@ def test_a_fold_over_its_cap_adds_its_terms_once(monkeypatch):
         parse_operator(src)
     assert str(err.value) == f"error: the product is too large to expand: its estimated terms times coefficient bits exceed {MAX_POWER_BITS}"
     assert sums == [79]
-    # a fold by a nonzero number measures its sum by its own cap alone; past the cap, the sum
-    # is measured as a sum, and 79 terms of 4300 digits each are over the budget as one
+    # a fold by a number other than 1 measures its sum as a sum first, and 79 terms of 4300
+    # digits each are over the budget as one
     monkeypatch.undo()
     heavy = "(" + "+".join(f"{big}*t{i}" for i in range(1, 80)) + ")"
     for c in ("0", "2"):
